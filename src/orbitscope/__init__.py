@@ -32,6 +32,7 @@ from .orbit_matrix import (
     IsotropyElement,
     OrbitMatrix,
     build_matrix,
+    factorize_exact,
     isotropy_basis,
     min_orbit_bound,
     orbit_dimension,

@@ -29,10 +29,9 @@ from .orbit_matrix import (
     DEFAULT_TOL,
     build_matrix,
     dump_csv,
-    exact_nullspace,
+    factorize_exact,
     float_nullspace,
     min_orbit_bound,
-    rank_exact,
     rank_float,
 )
 from .states import (
@@ -156,8 +155,8 @@ def analyze_state(
     if force_exact and not matrix.exact:
         raise ValueError("--exact requires a state with exact amplitudes")
     if matrix.exact:
-        rank = rank_exact(matrix)
-        kernel = exact_nullspace(matrix) if include_basis else None
+        rank, kernel = factorize_exact(matrix)
+        kernel = kernel if include_basis else None
         rank_path = "exact"
     else:
         rank = rank_float(matrix, tol)
@@ -209,10 +208,15 @@ def cmd_sweep(args) -> int:
     if args.n > FLOAT_CAPACITY_N:
         print(f"error: n={args.n} exceeds capacity {FLOAT_CAPACITY_N}", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print("error: need seed >= 0", file=sys.stderr)
+        return EXIT_USAGE
     bound = min_orbit_bound(args.n)
     dims = []
     for i in range(args.samples):
-        seed = args.seed ^ i
+        # each (seed, sample) pair gets its own stream, so --seed s and s + 1
+        # do not reuse each other's states (as seed ^ sample did)
+        seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1, np.uint64)[0])
         psi = sample_haar_state(args.n, seed)
         report = analyze_state(psi, args.tol, include_basis=False)
         dims.append(report.orbit_dimension)
@@ -250,14 +254,14 @@ def _verify_theorem(n_max: int, tol: float):
     """Exact minimum-orbit checks for the singlet families, plus cat states."""
     for n in range(2, n_max + 1, 2):
         psi = make_singlet_product(n // 2)
-        dim = rank_exact(build_matrix(psi)) - 1
+        dim = factorize_exact(build_matrix(psi))[0] - 1
         yield f"singlet^{n // 2} (n={n}) orbit dim {dim} == {3 * n // 2}", dim == 3 * n // 2
     for n in range(3, n_max + 1, 2):
         psi = make_singlet_product_plus_zero((n - 1) // 2)
-        dim = rank_exact(build_matrix(psi)) - 1
+        dim = factorize_exact(build_matrix(psi))[0] - 1
         yield f"singlet^{(n - 1) // 2}+|0> (n={n}) orbit dim {dim} == {(3 * n + 1) // 2}", dim == (3 * n + 1) // 2
     for n in range(3, min(n_max, 8) + 1):
-        dim = rank_exact(build_matrix(make_cat(n))) - 1
+        dim = factorize_exact(build_matrix(make_cat(n)))[0] - 1
         yield f"cat:{n} orbit dim {dim} > bound {min_orbit_bound(n)}", dim > min_orbit_bound(n)
 
 

@@ -161,37 +161,6 @@ def apply_algebra(x: LocalAlgebraElement, psi: PureState) -> np.ndarray:
     return out
 
 
-def apply_algebra_exact(
-    x: LocalAlgebraElement, psi: PureState
-) -> tuple[ExactAmp, ...]:
-    """Exact-rational version of apply_algebra.
-
-    Multiplication by i is a (re, im) -> (-im, re) swap, so everything stays
-    in Fractions.
-    """
-    if x.n != psi.n:
-        raise ValueError(f"algebra element acts on {x.n} qubits, state has {psi.n}")
-    if not psi.is_exact or not x.is_exact:
-        raise ValueError("exact path requires exact state and exact coordinates")
-    n = psi.n
-    c = psi.exact
-    out = [[Fraction(0), Fraction(0)] for _ in range(1 << n)]
-    for i in range(1 << n):
-        a_i, b_i = c[i]
-        for k in range(1, n + 1):
-            ck = x.coords[k - 1]
-            ik = (i >> (n - k)) & 1
-            sign = 1 - 2 * ik
-            af, bf = c[flip_index(i, n, k)]
-            # sign * (i t c_I + conj^{ik}(u) c_{I_k}), u = r + i s
-            s_eff = -ck.s if ik else ck.s
-            re = -ck.t * b_i + ck.r * af - s_eff * bf
-            im = ck.t * a_i + ck.r * bf + s_eff * af
-            out[i][0] += sign * re
-            out[i][1] += sign * im
-    return tuple((re, im) for re, im in out)
-
-
 def triple_columns(
     psi: PureState, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -21,11 +22,8 @@ from .lie_action import (
     LocalAlgebraElement,
     Su2Coordinates,
     apply_algebra,
-    apply_algebra_exact,
-    triple_columns,
-    triple_columns_exact,
 )
-from .states import PureState, flip_index
+from .states import PureState, flip_index, ratio_to_float
 
 DEFAULT_TOL = 1e-10
 
@@ -36,11 +34,17 @@ class ExactPathError(TypeError):
 
 @dataclass(frozen=True)
 class OrbitMatrix:
-    """The real matrix M for a state; float or exact-rational entries."""
+    """The real matrix M for a state.
+
+    On the float path `data` holds M in float64.  On the exact path it holds
+    the integer matrix den * M (int64 or object ints), built from the state's
+    Gaussian-integer numerators; rank and kernel do not see the scale.
+    """
 
     n: int
-    data: np.ndarray  # shape (2^{n+1}, 3n+1); dtype float64 or object
+    data: np.ndarray  # shape (2^{n+1}, 3n+1)
     exact: bool
+    den: int = 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -48,8 +52,22 @@ class OrbitMatrix:
 
     def as_float(self) -> np.ndarray:
         if self.exact:
-            return self.data.astype(float)
+            return ratio_to_float(self.data.ravel(), self.den).reshape(self.shape)
         return self.data
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(den M)^T (den M) over the integers, exact path only.
+
+        int64 when rows * max|entry|^2 < 2**62 bounds every entry, object ints
+        otherwise.  rank(M^T M) = rank(M) and ker(M^T M) = ker(M) for real M,
+        and the Gram matrix is only (3n+1) x (3n+1).
+        """
+        m = self.data
+        maxabs = int(np.abs(m).max())
+        if m.shape[0] * maxabs * maxabs >= 2**62:
+            m = m.astype(object)
+        return np.einsum("ij,ik->jk", m, m)
 
     def column_labels(self) -> list[str]:
         labels = []
@@ -74,38 +92,30 @@ class IsotropyElement:
     theta: float | Fraction
 
 
-def _realify(vec: np.ndarray) -> np.ndarray:
-    """Interleave (Re z_1, Im z_1, Re z_2, Im z_2, ...)."""
-    out = np.empty(2 * len(vec))
-    out[0::2] = vec.real
-    out[1::2] = vec.imag
-    return out
+def _build_real(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
+    """M from the bit formulas, on real arrays of any dtype (float or integer).
 
-
-def _build_from_columns_float(psi: PureState) -> np.ndarray:
-    n = psi.n
-    cols = []
-    for k in range(1, n + 1):
-        for vec in triple_columns(psi, k):
-            cols.append(_realify(vec))
-    cols.append(_realify(-1j * psi.amps))
-    return np.column_stack(cols)
-
-
-def _build_from_columns_exact(psi: PureState) -> np.ndarray:
-    n = psi.n
+    Row 2i holds the real and row 2i+1 the imaginary part of component I of
+    the columns A_k psi = i (-1)^{i_k} c_I, B_k psi = (-1)^{i_k} c_{I_k},
+    C_k psi = i c_{I_k} for k = 1..n, and -i psi.  Column 3(k-1) + j of M is
+    column j of triple k, so each formula fills every third column at once.
+    """
     dim = 1 << n
-    m = np.empty((2 * dim, 3 * n + 1), dtype=object)
-    for k in range(1, n + 1):
-        for j, vec in enumerate(triple_columns_exact(psi, k)):
-            col = 3 * (k - 1) + j
-            for i, (re, im) in enumerate(vec):
-                m[2 * i, col] = re
-                m[2 * i + 1, col] = im
-    for i, (a, b) in enumerate(psi.exact):  # -i c_I = b_I - i a_I
-        m[2 * i, 3 * n] = b
-        m[2 * i + 1, 3 * n] = -a
-    return m
+    dtype = np.result_type(re, im)
+    idx = np.arange(dim)[:, None]
+    bit = 1 << np.arange(n - 1, -1, -1)  # qubit k is bit n - k of the index
+    sign = np.where(idx & bit, -1, 1).astype(dtype)  # (-1)^{i_k}, shape (dim, n)
+    re_f, im_f = re[idx ^ bit], im[idx ^ bit]  # c_{I_k}
+    m = np.empty((dim, 2, 3 * n + 1), dtype=dtype)
+    m[:, 0, 0 : 3 * n : 3] = -sign * im[:, None]
+    m[:, 1, 0 : 3 * n : 3] = sign * re[:, None]
+    m[:, 0, 1 : 3 * n : 3] = sign * re_f
+    m[:, 1, 1 : 3 * n : 3] = sign * im_f
+    m[:, 0, 2 : 3 * n : 3] = -im_f
+    m[:, 1, 2 : 3 * n : 3] = re_f
+    m[:, 0, 3 * n] = im
+    m[:, 1, 3 * n] = -re
+    return m.reshape(2 * dim, 3 * n + 1)
 
 
 def _build_from_equations(psi: PureState) -> np.ndarray:
@@ -143,16 +153,33 @@ def _build_from_equations(psi: PureState) -> np.ndarray:
     return m
 
 
+def _check_gram(m: OrbitMatrix, psi: PureState) -> None:
+    """Two facts of the inner-product table, checked on the integer Gram matrix:
+    every column has squared norm den^2 |psi|^2, and the columns of each
+    triple T_k are mutually orthogonal."""
+    g = m.gram
+    num = psi.num.astype(g.dtype)
+    norm2 = (num * num).sum()
+    a = np.arange(0, 3 * psi.n, 3)
+    if not (np.all(np.diagonal(g) == norm2)
+            and np.all(g[a, a + 1] == 0)
+            and np.all(g[a, a + 2] == 0)
+            and np.all(g[a + 1, a + 2] == 0)):
+        raise AssertionError("Gram matrix breaks the inner-product table")
+
+
 def build_matrix(psi: PureState) -> OrbitMatrix:
-    """Assemble M from the column formulas and cross-check against the
-    equation-by-equation builder; the two must agree entrywise."""
+    """Assemble M from the bit formulas.
+
+    On the exact path the integer Gram matrix is formed here and checked
+    against the inner-product table; on the float path M is cross-checked
+    against the equation-by-equation builder, which must agree entrywise.
+    """
     if psi.is_exact:
-        primary = _build_from_columns_exact(psi)
-        secondary = _build_from_equations(psi)
-        if not (primary == secondary).all():
-            raise AssertionError("matrix builders disagree on exact entries")
-        return OrbitMatrix(n=psi.n, data=primary, exact=True)
-    primary = _build_from_columns_float(psi)
+        m = OrbitMatrix(n=psi.n, data=_build_real(*psi.num, psi.n), exact=True, den=psi.den)
+        _check_gram(m, psi)
+        return m
+    primary = _build_real(psi.amps.real, psi.amps.imag, psi.n)
     secondary = _build_from_equations(psi).astype(float)
     if not np.array_equal(primary, secondary):
         raise AssertionError("matrix builders disagree on float entries")
@@ -176,76 +203,52 @@ def rank_float(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> int:
     return numerical_rank(m.as_float(), tol)
 
 
-def _exact_gram(m: np.ndarray) -> np.ndarray:
-    """M^T M with exact integer/rational arithmetic.
+def factorize_exact(m: OrbitMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank and a kernel basis of M over the rationals, from one elimination.
 
-    rank(M^T M) = rank(M) and ker(M^T M) = ker(M) for real M, and the Gram
-    matrix is only (3n+1) x (3n+1), which keeps the exact elimination tiny.
-    Entries are rescaled to integers first; small integer matrices go through
-    int64 matmul, anything else through object-dtype matmul.
+    Gauss-Jordan elimination of the integer Gram matrix, fraction-free: each
+    updated row is divided by the gcd of its entries, so everything stays a
+    small Python int.  Kernel vectors are read off the reduced rows; they are
+    the ones the reduced row echelon form gives, one per free column.
     """
-    scale = math.lcm(*(v.denominator for v in m.flat))
-    ints = np.empty(m.shape, dtype=object)
-    for idx, v in np.ndenumerate(m):
-        ints[idx] = int(v * scale)
-    maxabs = max((abs(int(v)) for v in ints.flat), default=0)
-    rows = m.shape[0]
-    if maxabs > 0 and rows * maxabs * maxabs < 2**62:
-        g = ints.astype(np.int64).T @ ints.astype(np.int64)
-        return g.astype(object)
-    return ints.T @ ints
-
-
-def _fraction_rref(a: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
-    """Reduced row echelon form over the rationals; returns (rank, rref, pivot cols)."""
-    work = [[Fraction(v) for v in row] for row in a]
-    nrows, ncols = len(work), len(work[0])
+    if not m.exact:
+        raise ExactPathError("exact factorization requires exact rational entries")
+    rows = m.gram.tolist()
+    size = len(rows)
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if work[r][col] != 0), None)
+    for col in range(size):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, size) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        pv = work[row][col]
-        work[row] = [v / pv for v in work[row]]
-        for r in range(nrows):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[row])]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(size):
+            f = rows[i][col]
+            if i != r and f:
+                new = [p * v - f * w for v, w in zip(rows[i], prow)]
+                g = math.gcd(*new)
+                rows[i] = [v // g for v in new] if g else new
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    rref = np.empty((nrows, ncols), dtype=object)
-    for i, r in enumerate(work):
-        rref[i] = r
-    return len(pivots), rref, pivots
+    basis = []
+    for fc in (c for c in range(size) if c not in pivots):
+        v = [Fraction(0)] * size
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = Fraction(-rows[r][fc], rows[r][pc])
+        basis.append(tuple(v))
+    return len(pivots), basis
 
 
 def rank_exact(m: OrbitMatrix) -> int:
     """Rank over the rationals, no tolerance involved."""
-    if not m.exact:
-        raise ExactPathError("rank_exact requires exact rational entries")
-    rank, _, _ = _fraction_rref(_exact_gram(m.data))
-    return rank
+    return factorize_exact(m)[0]
 
 
 def exact_nullspace(m: OrbitMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of ker M over the rationals, via the RREF of the Gram matrix."""
-    if not m.exact:
-        raise ExactPathError("exact nullspace requires exact rational entries")
-    _, rref, pivots = _fraction_rref(_exact_gram(m.data))
-    ncols = rref.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            v[pc] = -rref[row][fc]
-        basis.append(tuple(v))
-    return basis
+    return factorize_exact(m)[1]
 
 
 def float_nullspace(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -277,7 +280,7 @@ def isotropy_basis(
     """
     m = build_matrix(psi)
     if m.exact:
-        kernel = exact_nullspace(m)
+        kernel = factorize_exact(m)[1]
     else:
         kernel = float_nullspace(m, tol)
     return [_unpack_kernel_vector(v, psi.n) for v in kernel]
@@ -290,13 +293,9 @@ def verify_isotropy(
     if elem.x.n != psi.n:
         raise ValueError("algebra element and state act on different qubit counts")
     if psi.is_exact and elem.x.is_exact and isinstance(elem.theta, Fraction):
-        result = apply_algebra_exact(elem.x, psi)
-        th = elem.theta
-        # i theta c_I = (-theta b_I, theta a_I)
-        return all(
-            re == -th * b and im == th * a
-            for (re, im), (a, b) in zip(result, psi.exact)
-        )
+        # M v is X.psi - i theta psi, realified and scaled by den
+        v = [c for co in elem.x.coords for c in (co.t, co.r, co.s)] + [elem.theta]
+        return not any(build_matrix(psi).data.astype(object) @ np.array(v, dtype=object))
     residual = apply_algebra(elem.x, psi) - 1j * float(elem.theta) * psi.amps
     return bool(np.linalg.norm(residual) <= tol * psi.norm())
 
@@ -311,14 +310,17 @@ def min_orbit_bound(n: int) -> int:
 def orbit_dimension(psi: PureState, tol: float = DEFAULT_TOL) -> int:
     """dim O = rank M - 1, via the exact path when the state is exact."""
     m = build_matrix(psi)
-    rank = rank_exact(m) if m.exact else rank_float(m, tol)
+    rank = factorize_exact(m)[0] if m.exact else rank_float(m, tol)
     return rank - 1
 
 
 def dump_csv(m: OrbitMatrix, path: str) -> None:
-    """Write M as CSV with labeled header row and row labels."""
+    """Write M as CSV with labeled header row and row labels; exact entries
+    are written as the rationals they stand for, not as scaled integers."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row"] + m.column_labels())
         for label, row in zip(m.row_labels(), m.data):
+            if m.exact:
+                row = [Fraction(int(v), m.den) for v in row]
             writer.writerow([label] + [str(v) for v in row])

@@ -8,7 +8,9 @@ lives at storage position sum_k i_k * 2**(n-k).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -76,54 +78,71 @@ def flip_index(idx: int, n: int, k: int) -> int:
     return idx ^ (1 << (n - k))
 
 
-def _validate_exact(exact: Sequence[ExactAmp]) -> tuple[ExactAmp, ...]:
-    out = []
-    for re, im in exact:
-        if not isinstance(re, Fraction) or not isinstance(im, Fraction):
-            raise TypeError("exact amplitudes must be Fraction pairs")
-        out.append((re, im))
-    return tuple(out)
+# Exact numerators are held as int64 only below this magnitude, so that they
+# convert to float exactly and the products in `tensor` can be bounded.
+_INT64_MAX = 2**53
+
+
+def ratio_to_float(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den as correctly rounded floats, for int64 or object-int `num`."""
+    if num.dtype == object or den >= _INT64_MAX:
+        return np.array([v / den for v in num.tolist()], dtype=float)
+    return num / den
 
 
 @dataclass(frozen=True)
 class PureState:
     """An unnormalized n-qubit state vector.
 
-    `amps` is always present as a complex float array in storage order.  When
-    `exact` is set, it holds the same amplitudes as (Fraction, Fraction)
-    pairs and downstream rank computations may use the exact path.
+    `amps` is always present as a complex float array in storage order.  An
+    exact state also holds Gaussian-integer numerators `num` (int64, or
+    object ints for large values) over one denominator `den`: the amplitude
+    vector is (num[0] + i num[1]) / den.  `exact` gives the same amplitudes as
+    (Fraction, Fraction) pairs, built on first use.
     Normalization is never required: everything computed from a state here is
     invariant under nonzero rescaling.
     """
 
     n: int
-    amps: np.ndarray = field(repr=False)
-    exact: Optional[tuple[ExactAmp, ...]] = field(default=None, repr=False)
+    amps: Optional[np.ndarray] = field(default=None, repr=False)
+    num: Optional[np.ndarray] = field(default=None, repr=False)
+    den: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} amplitudes, got shape {amps.shape}"
-            )
-        if self.exact is not None:
-            exact = _validate_exact(self.exact)
-            if len(exact) != 1 << self.n:
+        dim = 1 << self.n
+        if self.num is not None:
+            if self.num.shape != (2, dim):
                 raise ValueError("exact amplitude count mismatch")
-            if all(re == 0 and im == 0 for re, im in exact):
+            if not np.any(self.num):
                 raise ZeroStateError("zero vector is not a state")
-            object.__setattr__(self, "exact", exact)
-            amps = np.array([float(re) + 1j * float(im) for re, im in exact])
-        elif not np.any(amps):
-            raise ZeroStateError("zero vector is not a state")
+            self.num.setflags(write=False)
+            amps = ratio_to_float(self.num[0], self.den) + 1j * ratio_to_float(
+                self.num[1], self.den
+            )
+        else:
+            amps = np.asarray(self.amps, dtype=complex)
+            if amps.shape != (dim,):
+                raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
+            if not np.all(np.isfinite(amps)):
+                raise ValueError("amplitudes must be finite")
+            if not np.any(amps):
+                raise ZeroStateError("zero vector is not a state")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     @property
     def is_exact(self) -> bool:
-        return self.exact is not None
+        return self.num is not None
+
+    @cached_property
+    def exact(self) -> Optional[tuple[ExactAmp, ...]]:
+        """The amplitudes as (Fraction, Fraction) pairs; None for float states."""
+        if self.num is None:
+            return None
+        re, im = self.num.tolist()
+        return tuple((Fraction(a, self.den), Fraction(b, self.den)) for a, b in zip(re, im))
 
     @classmethod
     def from_amplitudes(cls, amps: Sequence[complex]) -> "PureState":
@@ -135,10 +154,18 @@ class PureState:
 
     @classmethod
     def from_exact(cls, exact: Sequence[ExactAmp]) -> "PureState":
+        """An exact state from (Fraction, Fraction) pairs, rescaled to integers."""
         n = int(np.log2(len(exact)))
         if 1 << n != len(exact):
             raise ValueError("amplitude count must be a power of two")
-        return cls(n=n, amps=np.zeros(len(exact)), exact=tuple(exact))
+        if not all(isinstance(v, Fraction) for pair in exact for v in pair):
+            raise TypeError("exact amplitudes must be Fraction pairs")
+        den = math.lcm(*(v.denominator for pair in exact for v in pair))
+        num = np.array([[v.numerator * (den // v.denominator) for v in part]
+                        for part in zip(*exact)], dtype=object)
+        if int(np.abs(num).max()) < _INT64_MAX:
+            num = num.astype(np.int64)
+        return cls(n=n, num=num, den=den)
 
     @classmethod
     def from_int_amplitudes(cls, ints: Sequence[int]) -> "PureState":
@@ -151,28 +178,23 @@ class PureState:
         return complex(self.amps[index.to_int()])
 
 
+def _sparse_state(n: int, entries: dict[int, int]) -> PureState:
+    """An exact state with integer real amplitudes at the given storage positions."""
+    num = np.zeros((2, 1 << n), dtype=np.int64)
+    num[0, list(entries)] = list(entries.values())
+    return PureState(n=n, num=num)
+
+
 def make_basis(index: MultiIndex) -> PureState:
     """The computational basis state |I>."""
-    amps: list[ExactAmp] = [(Fraction(0), Fraction(0))] * (1 << index.n)
-    amps[index.to_int()] = (Fraction(1), Fraction(0))
-    return PureState.from_exact(amps)
-
-
-def _singlet_exact() -> list[ExactAmp]:
-    # |01> - |10>, unnormalized
-    z = (Fraction(0), Fraction(0))
-    return [z, (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)), z]
+    return _sparse_state(index.n, {index.to_int(): 1})
 
 
 def make_singlet_product(k: int) -> PureState:
     """k tensored copies of the singlet |01> - |10>, on n = 2k qubits."""
     if k < 1:
         raise ValueError("need at least one singlet copy")
-    state = PureState.from_exact(_singlet_exact())
-    single = state
-    for _ in range(k - 1):
-        state = tensor(state, single)
-    return state
+    return reduce(tensor, [_sparse_state(2, {0b01: 1, 0b10: -1})] * k)  # unnormalized
 
 
 def make_singlet_product_plus_zero(k: int) -> PureState:
@@ -190,10 +212,7 @@ def make_cat(n: int) -> PureState:
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    amps: list[ExactAmp] = [(Fraction(0), Fraction(0))] * (1 << n)
-    amps[0] = (Fraction(1), Fraction(0))
-    amps[-1] = (Fraction(1), Fraction(0))
-    return PureState.from_exact(amps)
+    return _sparse_state(n, {0: 1, (1 << n) - 1: 1})
 
 
 def sample_haar_state(n: int, seed: int) -> PureState:
@@ -212,13 +231,15 @@ def sample_haar_state(n: int, seed: int) -> PureState:
 
 def tensor(psi1: PureState, psi2: PureState) -> PureState:
     """Kronecker product; exact iff both inputs are exact."""
-    if psi1.is_exact and psi2.is_exact:
-        exact: list[ExactAmp] = []
-        for a1, b1 in psi1.exact:
-            for a2, b2 in psi2.exact:
-                exact.append((a1 * a2 - b1 * b2, a1 * b2 + b1 * a2))
-        return PureState.from_exact(exact)
-    return PureState(n=psi1.n + psi2.n, amps=np.kron(psi1.amps, psi2.amps))
+    n = psi1.n + psi2.n
+    if not (psi1.is_exact and psi2.is_exact):
+        return PureState(n=n, amps=np.kron(psi1.amps, psi2.amps))
+    (a1, b1), (a2, b2) = psi1.num, psi2.num
+    if 2 * int(np.abs(psi1.num).max()) * int(np.abs(psi2.num).max()) >= _INT64_MAX:
+        # products could reach 2**53, the int64 storage limit: multiply Python ints
+        a1, b1, a2, b2 = (x.astype(object) for x in (a1, b1, a2, b2))
+    num = np.stack([np.kron(a1, a2) - np.kron(b1, b2), np.kron(a1, b2) + np.kron(b1, a2)])
+    return PureState(n=n, num=num, den=psi1.den * psi2.den)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -234,7 +255,7 @@ def state_from_json(doc: dict) -> PureState:
     {"n": int, "amplitudes_exact": [["p/q", "r/s"], ...]}.
     """
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("state file needs a positive integer 'n'")
     dim = 1 << n
     if "amplitudes_exact" in doc:

@@ -121,6 +121,28 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert path.read_text().startswith("row,t1,r1,s1,t2,r2,s2,theta")
 
+    def test_dump_matrix_keeps_rationals(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"n": 1, "amplitudes_exact": [["1/2", "0"], ["-1/3", "2"]]}))
+        path = tmp_path / "m.csv"
+        code, _, _ = run_cli(
+            capsys, "analyze", "--state", f"file:{state}", "--dump-matrix", str(path)
+        )
+        assert code == EXIT_OK
+        lines = path.read_text().splitlines()
+        assert lines[1] == "0:re,0,-1/3,-2,0"
+        assert lines[2] == "0:im,1/2,2,-1/3,-1/2"
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_amplitudes_rejected(self, capsys, tmp_path, value):
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"n": 1, "amplitudes": [[{value}, 0], [1, 0]]}}')
+        code, out, err = run_cli(capsys, "analyze", "--state", f"file:{path}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_bad_spec(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--state", "nope:1")
         assert code == EXIT_USAGE
@@ -142,12 +164,25 @@ class TestSweep:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         samples, aggregate = lines[:-1], lines[-1]["aggregate"]
         assert [s["sample"] for s in samples] == [0, 1, 2, 3]
-        assert all(s["seed"] == 0 ^ s["sample"] for s in samples)
+        assert all(
+            s["seed"] == int(np.random.SeedSequence([0, s["sample"]]).generate_state(1, np.uint64)[0])
+            for s in samples
+        )
         assert all(s["orbit_dimension"] >= s["min_bound"] for s in samples)
         assert aggregate["bound_violations"] == 0
         assert sum(aggregate["histogram"].values()) == 4
 
+    def test_neighbouring_seeds_draw_disjoint_samples(self, capsys):
+        seeds = []
+        for seed in ("0", "1"):
+            code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--samples", "8", "--seed", seed)
+            assert code == EXIT_OK
+            seeds.append({json.loads(line)["seed"] for line in out.strip().splitlines()[:-1]})
+        assert len(seeds[0]) == len(seeds[1]) == 8
+        assert not seeds[0] & seeds[1]
+
     def test_usage_errors(self, capsys):
+        assert run_cli(capsys, "sweep", "--n", "2", "--samples", "1", "--seed", "-1")[0] == EXIT_USAGE
         assert run_cli(capsys, "sweep", "--n", "0", "--samples", "1")[0] == EXIT_USAGE
         assert run_cli(capsys, "sweep", "--n", "2", "--samples", "0")[0] == EXIT_USAGE
         assert run_cli(capsys, "sweep", "--n", "15", "--samples", "1")[0] == EXIT_USAGE
@@ -163,6 +198,14 @@ class TestVerify:
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines and all(line.startswith("pass") for line in lines)
+
+    def test_theorem_suite_beyond_bench_sizes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem", "--n-max", "14")
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert any("(n=14) orbit dim 21 == 21" in line for line in lines)
+        assert any("(n=13) orbit dim 20 == 20" in line for line in lines)
+        assert all(line.startswith("pass") for line in lines)
 
     def test_table1_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--n-max", "3")

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +11,6 @@ from orbitscope.lie_action import (
     SU2GroupElement,
     Su2Coordinates,
     apply_algebra,
-    apply_algebra_exact,
     apply_group,
     random_local_unitary,
     random_su2,
@@ -75,13 +72,6 @@ class TestApplyAlgebra:
             x = LocalAlgebraElement.from_triples([(t, r, s), (t, r, s)])
             assert np.linalg.norm(apply_algebra(x, psi)) < 1e-14
 
-    def test_singlet_diagonal_action_vanishes_exactly(self):
-        psi = make_singlet_product(1)
-        trip = (Fraction(2, 3), Fraction(-1, 7), Fraction(5))
-        x = LocalAlgebraElement.from_triples([trip, trip])
-        out = apply_algebra_exact(x, psi)
-        assert all(re == 0 and im == 0 for re, im in out)
-
     def test_a_slot1_on_00(self):
         psi = make_basis(MultiIndex((0, 0)))
         x = LocalAlgebraElement.single_slot(2, 1, t=1.0)
@@ -123,19 +113,6 @@ class TestApplyAlgebra:
         for _ in range(5):
             x = LocalAlgebraElement.from_triples(rng.standard_normal((n, 3)))
             assert np.allclose(apply_algebra(x, psi), kron_action_oracle(x, psi), atol=1e-12)
-
-    def test_exact_matches_float(self):
-        psi = make_singlet_product(2)
-        x = LocalAlgebraElement.from_triples(
-            [
-                (Fraction(1), Fraction(2), Fraction(-1)),
-                (Fraction(0), Fraction(1, 2), Fraction(3)),
-                (Fraction(-2), Fraction(0), Fraction(1)),
-                (Fraction(1, 3), Fraction(-1), Fraction(0)),
-            ]
-        )
-        exact = exact_to_complex(apply_algebra_exact(x, psi))
-        assert np.allclose(exact, apply_algebra(x, psi), atol=1e-12)
 
 
 class TestTripleColumns:

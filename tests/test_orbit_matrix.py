@@ -5,12 +5,14 @@ import pytest
 
 from orbitscope.lie_action import (
     LocalAlgebraElement,
+    apply_algebra,
     random_local_unitary,
     apply_group,
 )
 from orbitscope.orbit_matrix import (
     ExactPathError,
     IsotropyElement,
+    OrbitMatrix,
     build_matrix,
     dump_csv,
     exact_nullspace,
@@ -21,8 +23,9 @@ from orbitscope.orbit_matrix import (
     rank_exact,
     rank_float,
     verify_isotropy,
-    _build_from_columns_float,
     _build_from_equations,
+    _build_real,
+    _check_gram,
 )
 from orbitscope.states import (
     MultiIndex,
@@ -50,6 +53,13 @@ def exact_families(n_max):
         yield make_basis(MultiIndex((0,) * n))
 
 
+def assert_exact_matrix_matches(psi):
+    m = build_matrix(psi)
+    assert m.exact and m.data.dtype in (np.int64, object)
+    rational = [[Fraction(int(v), m.den) for v in row] for row in m.data]
+    assert rational == _build_from_equations(psi).tolist()
+
+
 class TestBuildMatrix:
     def test_shape(self):
         for n in (1, 2, 4):
@@ -69,9 +79,39 @@ class TestBuildMatrix:
         for i in range(50):
             n = 1 + i % 6
             psi = sample_haar_state(n, 300 + i)
-            primary = _build_from_columns_float(psi)
+            primary = _build_real(psi.amps.real, psi.amps.imag, psi.n)
             secondary = _build_from_equations(psi).astype(float)
             assert np.array_equal(primary, secondary)
+
+    def test_exact_matrix_matches_equation_builder(self):
+        # the integer M over its denominator equals the Fraction builder entrywise
+        for psi in exact_families(8):
+            assert_exact_matrix_matches(psi)
+
+    def test_exact_matrix_matches_on_random_rationals(self):
+        rng = np.random.default_rng(11)
+        for i in range(24):
+            n = 1 + i % 4
+            bits = 8 if i % 3 == 0 else (41 if i % 3 == 1 else 60)  # int64, object Gram, object state
+            nums = rng.integers(-(2**bits), 2**bits, size=(2, 1 << n))
+            dens = rng.choice([1, 2, 3, 5, 12, 49], size=(2, 1 << n))
+            exact = [
+                (Fraction(int(a), int(c)), Fraction(int(b), int(d)))
+                for a, b, c, d in zip(*nums, *dens)
+            ]
+            psi = PureState.from_exact(exact)
+            assert psi.exact == tuple(exact)
+            assert_exact_matrix_matches(psi)
+            if bits > 8:
+                assert build_matrix(psi).gram.dtype == object
+
+    def test_gram_check_rejects_a_wrong_matrix(self):
+        psi = make_cat(3)
+        good = build_matrix(psi)
+        data = good.data.copy()
+        data[0, 0] += 1
+        with pytest.raises(AssertionError, match="inner-product table"):
+            _check_gram(OrbitMatrix(n=3, data=data, exact=True), psi)
 
     def test_entries_come_from_amplitudes(self):
         psi = sample_haar_state(3, 17)
@@ -219,6 +259,39 @@ class TestVerifyIsotropy:
         psi = make_basis(MultiIndex((0,)))
         x = LocalAlgebraElement.single_slot(1, 1, r=1.0)
         assert not verify_isotropy(psi, IsotropyElement(x=x, theta=0.0))
+
+    def test_exact_singlet_diagonal(self):
+        # (X, X) annihilates the singlet exactly, for a rational X
+        psi = make_singlet_product(1)
+        trip = (Fraction(2, 3), Fraction(-1, 7), Fraction(5))
+        x = LocalAlgebraElement.from_triples([trip, trip])
+        assert verify_isotropy(psi, IsotropyElement(x=x, theta=Fraction(0)))
+        off = LocalAlgebraElement.from_triples([trip, (Fraction(2, 3), Fraction(-1, 7), Fraction(4))])
+        assert not verify_isotropy(psi, IsotropyElement(x=off, theta=Fraction(0)))
+
+    def test_exact_b_not_isotropy_on_ket0(self):
+        psi = make_basis(MultiIndex((0,)))
+        one, zero = Fraction(1), Fraction(0)
+        assert verify_isotropy(psi, IsotropyElement(LocalAlgebraElement.single_slot(1, 1, t=one), one))
+        x = LocalAlgebraElement.single_slot(1, 1, t=zero, r=one, s=zero)
+        assert not verify_isotropy(psi, IsotropyElement(x=x, theta=zero))
+
+    def test_exact_matrix_action_matches_float(self):
+        # M v over den, read as complex amplitudes, is X.psi - i theta psi
+        psi = make_singlet_product(2)
+        trips = [
+            (Fraction(1), Fraction(2), Fraction(-1)),
+            (Fraction(0), Fraction(1, 2), Fraction(3)),
+            (Fraction(-2), Fraction(0), Fraction(1)),
+            (Fraction(1, 3), Fraction(-1), Fraction(0)),
+        ]
+        theta = Fraction(3, 4)
+        m = build_matrix(psi)
+        v = np.array([c for trip in trips for c in trip] + [theta], dtype=object)
+        real = [float(e / m.den) for e in m.data.astype(object) @ v]
+        x = LocalAlgebraElement.from_triples(trips)
+        expected = apply_algebra(x, psi) - 1j * float(theta) * psi.amps
+        assert np.allclose(np.array(real[0::2]) + 1j * np.array(real[1::2]), expected, atol=1e-12)
 
 
 class TestMinOrbitBound:

@@ -173,6 +173,26 @@ class TestTensor:
         psi = tensor(make_singlet_product(1), make_singlet_product(1))
         assert psi.exact == make_singlet_product(2).exact
 
+    def test_exact_matches_fraction_product(self):
+        # numerators near 2**40 push the products past int64: Python-int fallback
+        rng = np.random.default_rng(4)
+        pairs = [
+            [(Fraction(int(a), int(d)), Fraction(int(b), int(d))) for a, b, d in rows]
+            for rows in (
+                zip(rng.integers(-2**40, 2**40, 4), rng.integers(-2**40, 2**40, 4), [1, 3, 4, 9]),
+                zip(rng.integers(-2**40, 2**40, 2), rng.integers(-9, 9, 2), [5, 7]),
+            )
+        ]
+        psi = tensor(PureState.from_exact(pairs[0]), PureState.from_exact(pairs[1]))
+        expected = tuple(
+            (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+            for a1, b1 in pairs[0]
+            for a2, b2 in pairs[1]
+        )
+        assert psi.num.dtype == object
+        assert psi.exact == expected
+        assert np.array_equal(psi.amps, [complex(float(a), float(b)) for a, b in expected])
+
     def test_norm_multiplicative(self):
         a = sample_haar_state(2, 1)
         b = sample_haar_state(3, 2)
@@ -202,6 +222,11 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             PureState.from_amplitudes([1, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState.from_amplitudes([1, bad])
+
 
 class TestJsonFormat:
     def test_float_roundtrip(self):
@@ -225,6 +250,11 @@ class TestJsonFormat:
         doc = {"n": 1, "amplitudes_exact": [["0.5", "0"], ["1", "0"]]}
         with pytest.raises(ValueError):
             state_from_json(doc)
+
+    @pytest.mark.parametrize("n", [True, False, 1.0, "1", None, 0])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            state_from_json({"n": n, "amplitudes": [[1, 0], [0, 0]]})
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
