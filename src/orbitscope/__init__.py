@@ -32,7 +32,7 @@ from .orbit_matrix import (
     IsotropyElement,
     OrbitMatrix,
     build_matrix,
-    factorize_exact,
+    factorize,
     isotropy_basis,
     min_orbit_bound,
     orbit_dimension,

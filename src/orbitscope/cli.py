@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -29,10 +30,8 @@ from .orbit_matrix import (
     DEFAULT_TOL,
     build_matrix,
     dump_csv,
-    factorize_exact,
-    float_nullspace,
+    factorize,
     min_orbit_bound,
-    rank_float,
 )
 from .states import (
     MultiIndex,
@@ -78,7 +77,7 @@ def parse_state_spec(spec: str) -> PureState:
         if match:
             try:
                 return builder(match)
-            except (ValueError, OSError) as exc:
+            except (ValueError, OverflowError, OSError) as exc:
                 raise SpecParseError(f"bad state spec {spec!r}: {exc}") from exc
     head = spec.split(":")[0].split("*")[0]
     raise SpecParseError(
@@ -108,9 +107,20 @@ def dumps(value) -> str:
     return _format_value(value)
 
 
+def parse_tolerance(text: str, source: str = "--tol") -> float:
+    """A float rank tolerance: a number with 0 <= tol < 1, so never NaN or inf."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < 1:
+        raise ValueError(f"{source} must be a number with 0 <= tol < 1, got {text!r}")
+    return tol
+
+
 def default_tolerance() -> float:
     env = os.environ.get("ORBITSCOPE_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return parse_tolerance(env, "ORBITSCOPE_TOL") if env else DEFAULT_TOL
 
 
 @dataclass
@@ -149,27 +159,19 @@ def analyze_state(
     tol: float,
     force_exact: bool = False,
     dump_matrix: str | None = None,
-    include_basis: bool = True,
 ) -> AnalysisReport:
     matrix = build_matrix(psi)
     if force_exact and not matrix.exact:
         raise ValueError("--exact requires a state with exact amplitudes")
-    if matrix.exact:
-        rank, kernel = factorize_exact(matrix)
-        kernel = kernel if include_basis else None
-        rank_path = "exact"
-    else:
-        rank = rank_float(matrix, tol)
-        kernel = float_nullspace(matrix, tol) if include_basis else None
-        rank_path = "float"
+    rank, kernel = factorize(matrix, tol)
+    rank_path = "exact" if matrix.exact else "float"
     if dump_matrix:
         dump_csv(matrix, dump_matrix)
     basis_out = []
-    if kernel is not None:
-        for vec in kernel:
-            floats = [float(v) for v in vec]
-            coords = [floats[3 * k : 3 * k + 3] for k in range(psi.n)]
-            basis_out.append({"coords": coords, "theta": floats[3 * psi.n]})
+    for vec in kernel:
+        floats = [float(v) for v in vec]
+        coords = [floats[3 * k : 3 * k + 3] for k in range(psi.n)]
+        basis_out.append({"coords": coords, "theta": floats[3 * psi.n]})
     bound = min_orbit_bound(psi.n)
     return AnalysisReport(
         n=psi.n,
@@ -218,7 +220,7 @@ def cmd_sweep(args) -> int:
         # do not reuse each other's states (as seed ^ sample did)
         seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1, np.uint64)[0])
         psi = sample_haar_state(args.n, seed)
-        report = analyze_state(psi, args.tol, include_basis=False)
+        report = analyze_state(psi, args.tol)
         dims.append(report.orbit_dimension)
         print(
             dumps(
@@ -254,14 +256,14 @@ def _verify_theorem(n_max: int, tol: float):
     """Exact minimum-orbit checks for the singlet families, plus cat states."""
     for n in range(2, n_max + 1, 2):
         psi = make_singlet_product(n // 2)
-        dim = factorize_exact(build_matrix(psi))[0] - 1
+        dim = factorize(build_matrix(psi))[0] - 1
         yield f"singlet^{n // 2} (n={n}) orbit dim {dim} == {3 * n // 2}", dim == 3 * n // 2
     for n in range(3, n_max + 1, 2):
         psi = make_singlet_product_plus_zero((n - 1) // 2)
-        dim = factorize_exact(build_matrix(psi))[0] - 1
+        dim = factorize(build_matrix(psi))[0] - 1
         yield f"singlet^{(n - 1) // 2}+|0> (n={n}) orbit dim {dim} == {(3 * n + 1) // 2}", dim == (3 * n + 1) // 2
     for n in range(3, min(n_max, 8) + 1):
-        dim = factorize_exact(build_matrix(make_cat(n)))[0] - 1
+        dim = factorize(build_matrix(make_cat(n)))[0] - 1
         yield f"cat:{n} orbit dim {dim} > bound {min_orbit_bound(n)}", dim > min_orbit_bound(n)
 
 
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze one state")
     p_analyze.add_argument("--state", required=True, help="state spec string")
-    p_analyze.add_argument("--tol", type=float, default=default_tolerance())
+    p_analyze.add_argument("--tol")
     p_analyze.add_argument("--exact", action="store_true", help="require the exact rank path")
     p_analyze.add_argument("--dump-matrix", default=None, metavar="PATH")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -371,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--samples", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--tol", type=float, default=default_tolerance())
+    p_sweep.add_argument("--tol")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p_verify.add_argument("--n-max", type=int, default=6)
-    p_verify.add_argument("--tol", type=float, default=default_tolerance())
+    p_verify.add_argument("--tol")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -388,6 +390,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    try:
+        args.tol = default_tolerance() if args.tol is None else parse_tolerance(args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

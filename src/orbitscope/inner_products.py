@@ -130,11 +130,7 @@ def real_dot(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError("vectors must have equal length")
-    value = float(np.dot(u.real, v.real) + np.dot(u.imag, v.imag))
-    assert abs(value - np.vdot(u, v).real) <= 1e-12 * max(
-        1.0, np.linalg.norm(u) * np.linalg.norm(v)
-    )
-    return value
+    return float(np.dot(u.real, v.real) + np.dot(u.imag, v.imag))
 
 
 @dataclass(frozen=True)

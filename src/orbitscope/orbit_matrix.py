@@ -23,9 +23,11 @@ from .lie_action import (
     Su2Coordinates,
     apply_algebra,
 )
-from .states import PureState, flip_index, ratio_to_float
+from .states import PureState, ratio_to_float
 
 DEFAULT_TOL = 1e-10
+# Relative slack of the float Gram check; rounding in R^T R is ~1e-15.
+GRAM_RTOL = 1e-10
 
 
 class ExactPathError(TypeError):
@@ -118,101 +120,85 @@ def _build_real(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
     return m.reshape(2 * dim, 3 * n + 1)
 
 
-def _build_from_equations(psi: PureState) -> np.ndarray:
-    """Secondary builder: the real/imaginary isotropy equations, entrywise.
-
-    Row 2i is the real-part equation for multi-index I, row 2i+1 the
-    imaginary-part equation, with the theta terms moved to the left side.
-    """
-    n = psi.n
-    dim = 1 << n
-    exact = psi.is_exact
-    zero = Fraction(0) if exact else 0.0
-    m = np.full((2 * dim, 3 * n + 1), zero, dtype=object if exact else float)
-    for i in range(dim):
-        if exact:
-            a_i, b_i = psi.exact[i]
-        else:
-            a_i, b_i = psi.amps[i].real, psi.amps[i].imag
-        for k in range(1, n + 1):
-            f = flip_index(i, n, k)
-            if exact:
-                a_f, b_f = psi.exact[f]
-            else:
-                a_f, b_f = psi.amps[f].real, psi.amps[f].imag
-            sign = 1 - 2 * ((i >> (n - k)) & 1)
-            base = 3 * (k - 1)
-            m[2 * i, base] = sign * -b_i  # t_k in Re equation
-            m[2 * i, base + 1] = sign * a_f  # r_k
-            m[2 * i, base + 2] = -b_f  # s_k
-            m[2 * i + 1, base] = sign * a_i  # t_k in Im equation
-            m[2 * i + 1, base + 1] = sign * b_f  # r_k
-            m[2 * i + 1, base + 2] = a_f  # s_k
-        m[2 * i, 3 * n] = b_i  # +theta coefficient, Re equation
-        m[2 * i + 1, 3 * n] = -a_i
-    return m
+def build_matrix(psi: PureState) -> OrbitMatrix:
+    """Assemble M from the bit formulas: the integer den * M for an exact
+    state, float M otherwise."""
+    if psi.is_exact:
+        return OrbitMatrix(n=psi.n, data=_build_real(*psi.num, psi.n), exact=True, den=psi.den)
+    return OrbitMatrix(n=psi.n, data=_build_real(psi.amps.real, psi.amps.imag, psi.n), exact=False)
 
 
-def _check_gram(m: OrbitMatrix, psi: PureState) -> None:
-    """Two facts of the inner-product table, checked on the integer Gram matrix:
-    every column has squared norm den^2 |psi|^2, and the columns of each
-    triple T_k are mutually orthogonal."""
-    g = m.gram
-    num = psi.num.astype(g.dtype)
-    norm2 = (num * num).sum()
-    a = np.arange(0, 3 * psi.n, 3)
-    if not (np.all(np.diagonal(g) == norm2)
-            and np.all(g[a, a + 1] == 0)
-            and np.all(g[a, a + 2] == 0)
-            and np.all(g[a + 1, a + 2] == 0)):
+def _check_gram(g: np.ndarray, rtol: float) -> None:
+    """Two facts of the inner-product table, checked on a Gram matrix of M:
+    every column has the squared norm of the theta column, |psi|^2, and the
+    columns of each triple T_k are mutually orthogonal.  With rtol = 0 the
+    check is exact (integer Gram matrices)."""
+    norm2 = g[-1, -1]
+    bound = rtol * norm2 if rtol else 0
+    a = np.arange(0, g.shape[0] - 1, 3)
+    entries = (np.diagonal(g) - norm2, g[a, a + 1], g[a, a + 2], g[a + 1, a + 2])
+    if not all(np.all(np.abs(e) <= bound) for e in entries):
         raise AssertionError("Gram matrix breaks the inner-product table")
 
 
-def build_matrix(psi: PureState) -> OrbitMatrix:
-    """Assemble M from the bit formulas.
-
-    On the exact path the integer Gram matrix is formed here and checked
-    against the inner-product table; on the float path M is cross-checked
-    against the equation-by-equation builder, which must agree entrywise.
-    """
-    if psi.is_exact:
-        m = OrbitMatrix(n=psi.n, data=_build_real(*psi.num, psi.n), exact=True, den=psi.den)
-        _check_gram(m, psi)
-        return m
-    primary = _build_real(psi.amps.real, psi.amps.imag, psi.n)
-    secondary = _build_from_equations(psi).astype(float)
-    if not np.array_equal(primary, secondary):
-        raise AssertionError("matrix builders disagree on float entries")
-    return OrbitMatrix(n=psi.n, data=primary, exact=False)
-
-
-def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Rank via QR with column pivoting; a pivot counts iff its magnitude
-    exceeds tol times the largest pivot magnitude."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.any(a):
-        return 0
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
+def _pivot_rank(r: np.ndarray, tol: float) -> int:
+    """Rank from a column-pivoted R: a pivot counts iff its magnitude exceeds
+    tol times the largest pivot magnitude."""
     pivots = np.abs(np.diag(r))
     if pivots.size == 0 or pivots[0] == 0:
         return 0
     return int(np.count_nonzero(pivots > tol * pivots[0]))
 
 
+def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Rank via QR with column pivoting (see `_pivot_rank`)."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0 or not np.any(a):
+        return 0
+    return _pivot_rank(scipy.linalg.qr(a, mode="r", pivoting=True)[0], tol)
+
+
 def rank_float(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> int:
     return numerical_rank(m.as_float(), tol)
 
 
-def factorize_exact(m: OrbitMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and a kernel basis of M over the rationals, from one elimination.
+def _factorize_float(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """Rank and an orthonormal kernel basis (rows) of a float M from one
+    column-pivoted QR, M[:, perm] = Q R.
 
-    Gauss-Jordan elimination of the integer Gram matrix, fraction-free: each
-    updated row is divided by the gcd of its entries, so everything stays a
-    small Python int.  Kernel vectors are read off the reduced rows; they are
-    the ones the reduced row echelon form gives, one per free column.
+    The rank is the pivot count of R; the kernel is spanned by the trailing
+    right singular vectors of the (3n+1)^2 factor R, which has the right
+    singular vectors of M[:, perm].  R^T R is the Gram matrix of M[:, perm],
+    so the inner-product table is checked on it without touching M again.
+    """
+    cols = a.shape[1]
+    r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
+    r = r[:cols]
+    g = np.empty((cols, cols))
+    g[np.ix_(perm, perm)] = r.T @ r
+    _check_gram(g, GRAM_RTOL)
+    rank = _pivot_rank(r, tol)
+    kernel = np.zeros((cols - rank, cols))
+    if rank < cols:
+        kernel[:, perm] = np.linalg.svd(r)[2][rank:]
+    return rank, kernel
+
+
+def factorize(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> tuple[int, list | np.ndarray]:
+    """Rank of M and a basis of ker M, from one factorization, after the Gram
+    matrix is checked against the inner-product table.
+
+    Float M: one pivoted QR, tol deciding the rank (`_factorize_float`); the
+    kernel is an orthonormal array of row vectors.  Exact M: Gauss-Jordan
+    elimination of the integer Gram matrix, fraction-free, with no tolerance:
+    each updated row is divided by the gcd of its entries, so everything
+    stays a small Python int.  Kernel vectors, Fraction tuples, are read off
+    the reduced rows; they are the ones the reduced row echelon form gives,
+    one per free column.
     """
     if not m.exact:
-        raise ExactPathError("exact factorization requires exact rational entries")
+        return _factorize_float(m.data, tol)
+    _check_gram(m.gram, 0)
     rows = m.gram.tolist()
     size = len(rows)
     pivots: list[int] = []
@@ -243,24 +229,22 @@ def factorize_exact(m: OrbitMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
 
 def rank_exact(m: OrbitMatrix) -> int:
     """Rank over the rationals, no tolerance involved."""
-    return factorize_exact(m)[0]
+    if not m.exact:
+        raise ExactPathError("exact rank requires exact rational entries")
+    return factorize(m)[0]
 
 
 def exact_nullspace(m: OrbitMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of ker M over the rationals, via the RREF of the Gram matrix."""
-    return factorize_exact(m)[1]
+    if not m.exact:
+        raise ExactPathError("exact kernel requires exact rational entries")
+    return factorize(m)[1]
 
 
 def float_nullspace(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Kernel basis on the float path; dimension pinned to cols - rank_float
-    so the reported rank and kernel always agree."""
-    a = m.as_float()
-    rank = numerical_rank(a, tol)
-    nullity = a.shape[1] - rank
-    if nullity == 0:
-        return []
-    _, _, vt = np.linalg.svd(a, full_matrices=True)
-    return [vt[i] for i in range(a.shape[1] - nullity, a.shape[1])]
+    """Kernel basis on the float path; dimension pinned to cols - rank so the
+    reported rank and kernel always agree."""
+    return list(_factorize_float(m.as_float(), tol)[1])
 
 
 def _unpack_kernel_vector(v, n: int) -> IsotropyElement:
@@ -278,11 +262,7 @@ def isotropy_basis(
     Kernel dimension equals the algebra dimension: theta is determined by X,
     so (X, theta) pairs and algebra elements are in bijection.
     """
-    m = build_matrix(psi)
-    if m.exact:
-        kernel = factorize_exact(m)[1]
-    else:
-        kernel = float_nullspace(m, tol)
+    kernel = factorize(build_matrix(psi), tol)[1]
     return [_unpack_kernel_vector(v, psi.n) for v in kernel]
 
 
@@ -309,9 +289,7 @@ def min_orbit_bound(n: int) -> int:
 
 def orbit_dimension(psi: PureState, tol: float = DEFAULT_TOL) -> int:
     """dim O = rank M - 1, via the exact path when the state is exact."""
-    m = build_matrix(psi)
-    rank = factorize_exact(m)[0] if m.exact else rank_float(m, tol)
-    return rank - 1
+    return factorize(build_matrix(psi), tol)[0] - 1
 
 
 def dump_csv(m: OrbitMatrix, path: str) -> None:

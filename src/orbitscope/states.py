@@ -167,10 +167,6 @@ class PureState:
             num = num.astype(np.int64)
         return cls(n=n, num=num, den=den)
 
-    @classmethod
-    def from_int_amplitudes(cls, ints: Sequence[int]) -> "PureState":
-        return cls.from_exact([(Fraction(v), Fraction(0)) for v in ints])
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -245,7 +241,25 @@ def tensor(psi1: PureState, psi2: PureState) -> PureState:
 def _parse_rational(text: str) -> Fraction:
     if "." in text or "e" in text.lower():
         raise ValueError(f"rational string must be decimal-free: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational string has a zero denominator: {text!r}") from None
+
+
+def _amplitude_pairs(doc: dict, key: str, kind, dim: int) -> list:
+    """doc[key], checked to be a list of dim [re, im] pairs of `kind`."""
+    raw = doc[key]
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(isinstance(v, kind) and not isinstance(v, bool) for v in pair)
+        for pair in raw
+    ):
+        what = "strings" if kind is str else "numbers"
+        raise ValueError(f"{key!r} must be a list of [re, im] pairs of {what}")
+    if len(raw) != dim:
+        raise ValueError(f"expected {dim} amplitudes, got {len(raw)}")
+    return raw
 
 
 def state_from_json(doc: dict) -> PureState:
@@ -254,20 +268,18 @@ def state_from_json(doc: dict) -> PureState:
     {"n": int, "amplitudes": [[re, im], ...]} or, for exact states,
     {"n": int, "amplitudes_exact": [["p/q", "r/s"], ...]}.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("state file must hold a JSON object")
     n = doc.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("state file needs a positive integer 'n'")
     dim = 1 << n
     if "amplitudes_exact" in doc:
-        raw = doc["amplitudes_exact"]
-        if len(raw) != dim:
-            raise ValueError(f"expected {dim} amplitudes, got {len(raw)}")
+        raw = _amplitude_pairs(doc, "amplitudes_exact", str, dim)
         exact = [(_parse_rational(re), _parse_rational(im)) for re, im in raw]
         return PureState.from_exact(exact)
     if "amplitudes" in doc:
-        raw = doc["amplitudes"]
-        if len(raw) != dim:
-            raise ValueError(f"expected {dim} amplitudes, got {len(raw)}")
+        raw = _amplitude_pairs(doc, "amplitudes", (int, float), dim)
         amps = np.array([complex(re, im) for re, im in raw])
         return PureState(n=n, amps=amps)
     raise ValueError("state file needs 'amplitudes' or 'amplitudes_exact'")

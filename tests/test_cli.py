@@ -86,6 +86,32 @@ class TestDefaultTolerance:
         monkeypatch.delenv("ORBITSCOPE_TOL", raising=False)
         assert default_tolerance() == 1e-10
 
+    @pytest.mark.parametrize("command", [
+        ("analyze", "--state", "random:3:1"),
+        ("sweep", "--n", "2", "--samples", "1"),
+        ("verify", "--suite", "lemma"),
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "abc"])
+    def test_unusable_tolerance_rejected(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, *command, "--tol", tol)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["abc", "nan", "1"])
+    def test_unusable_env_tolerance_rejected(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("ORBITSCOPE_TOL", tol)
+        code, out, err = run_cli(capsys, "analyze", "--state", "random:3:1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ORBITSCOPE_TOL") and err.count("\n") == 1
+
+    def test_zero_and_small_tolerances_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORBITSCOPE_TOL", "1e-8")
+        assert json.loads(run_cli(capsys, "analyze", "--state", "random:3:1")[1])["tolerance"] == 1e-8
+        out = run_cli(capsys, "analyze", "--state", "random:3:1", "--tol", "0")[1]
+        assert json.loads(out)["tolerance"] == 0.0
+
 
 class TestAnalyze:
     def test_singlet_exact(self, capsys):
@@ -142,6 +168,27 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[1, 2]',
+            '{"n": 1, "amplitudes": 5}',
+            '{"n": 1, "amplitudes": [[1, 0], null]}',
+            '{"n": 1, "amplitudes": [["a", 0], [1, 0]]}',
+            '{"n": 1, "amplitudes": [[1, 0], [1%s, 0]]}' % ("0" * 400),
+            '{"n": 1, "amplitudes_exact": [["1", "0"], [1, "0"]]}',
+            '{"n": 1, "amplitudes_exact": [["1", "0"], ["1/0", "0"]]}',
+            '{"n": 1, "amplitudes_exact": [["1", "0"], [["1"], "0"]]}',
+        ],
+    )
+    def test_malformed_state_file_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--state", f"file:{path}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_spec(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--state", "nope:1")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from orbitscope.lie_action import (
     LocalAlgebraElement,
@@ -16,6 +17,7 @@ from orbitscope.orbit_matrix import (
     build_matrix,
     dump_csv,
     exact_nullspace,
+    factorize,
     isotropy_basis,
     min_orbit_bound,
     numerical_rank,
@@ -23,19 +25,52 @@ from orbitscope.orbit_matrix import (
     rank_exact,
     rank_float,
     verify_isotropy,
-    _build_from_equations,
-    _build_real,
-    _check_gram,
 )
 from orbitscope.states import (
     MultiIndex,
     PureState,
+    flip_index,
     make_basis,
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
     sample_haar_state,
 )
+
+
+def _build_from_equations(psi: PureState) -> np.ndarray:
+    """Oracle builder: the real/imaginary isotropy equations, entrywise.
+
+    Row 2i is the real-part equation for multi-index I, row 2i+1 the
+    imaginary-part equation, with the theta terms moved to the left side.
+    """
+    n = psi.n
+    dim = 1 << n
+    exact = psi.is_exact
+    zero = Fraction(0) if exact else 0.0
+    m = np.full((2 * dim, 3 * n + 1), zero, dtype=object if exact else float)
+    for i in range(dim):
+        if exact:
+            a_i, b_i = psi.exact[i]
+        else:
+            a_i, b_i = psi.amps[i].real, psi.amps[i].imag
+        for k in range(1, n + 1):
+            f = flip_index(i, n, k)
+            if exact:
+                a_f, b_f = psi.exact[f]
+            else:
+                a_f, b_f = psi.amps[f].real, psi.amps[f].imag
+            sign = 1 - 2 * ((i >> (n - k)) & 1)
+            base = 3 * (k - 1)
+            m[2 * i, base] = sign * -b_i  # t_k in Re equation
+            m[2 * i, base + 1] = sign * a_f  # r_k
+            m[2 * i, base + 2] = -b_f  # s_k
+            m[2 * i + 1, base] = sign * a_i  # t_k in Im equation
+            m[2 * i + 1, base + 1] = sign * b_f  # r_k
+            m[2 * i + 1, base + 2] = a_f  # s_k
+        m[2 * i, 3 * n] = b_i  # +theta coefficient, Re equation
+        m[2 * i + 1, 3 * n] = -a_i
+    return m
 
 
 def exact_matvec(matrix, vec):
@@ -51,6 +86,14 @@ def exact_families(n_max):
     for n in range(1, n_max + 1):
         yield make_cat(n)
         yield make_basis(MultiIndex((0,) * n))
+
+
+def float_copies(n_max, seed=0):
+    """Float copies and LU-rotated float copies of the exact families: the
+    rotated ones keep the exact isotropy dimension but lose every zero entry."""
+    rng = np.random.default_rng(seed)
+    for psi in exact_families(n_max):
+        yield psi, PureState(n=psi.n, amps=psi.amps), apply_group(random_local_unitary(psi.n, rng), psi)
 
 
 def assert_exact_matrix_matches(psi):
@@ -76,10 +119,10 @@ class TestBuildMatrix:
 
     def test_builders_agree_on_random_states(self):
         # two independent code paths: column formulas vs isotropy equations
-        for i in range(50):
-            n = 1 + i % 6
-            psi = sample_haar_state(n, 300 + i)
-            primary = _build_real(psi.amps.real, psi.amps.imag, psi.n)
+        states = [sample_haar_state(1 + i % 6, 300 + i) for i in range(50)]
+        states += [rotated for _, _, rotated in float_copies(6, seed=4)]
+        for psi in states:
+            primary = build_matrix(psi).data
             secondary = _build_from_equations(psi).astype(float)
             assert np.array_equal(primary, secondary)
 
@@ -106,12 +149,14 @@ class TestBuildMatrix:
                 assert build_matrix(psi).gram.dtype == object
 
     def test_gram_check_rejects_a_wrong_matrix(self):
-        psi = make_cat(3)
-        good = build_matrix(psi)
-        data = good.data.copy()
-        data[0, 0] += 1
-        with pytest.raises(AssertionError, match="inner-product table"):
-            _check_gram(OrbitMatrix(n=3, data=data, exact=True), psi)
+        # one changed entry of M breaks a Gram fact that factorize checks
+        for psi in (make_cat(3), sample_haar_state(12, 5)):
+            good = build_matrix(psi)
+            data = good.data.copy()
+            data[0, 0] = data[0, 0] + 1 if good.exact else -data[0, 0]
+            factorize(good)
+            with pytest.raises(AssertionError, match="inner-product table"):
+                factorize(OrbitMatrix(n=psi.n, data=data, exact=good.exact))
 
     def test_entries_come_from_amplitudes(self):
         psi = sample_haar_state(3, 17)
@@ -237,6 +282,30 @@ class TestIsotropy:
         for psi in exact_families(6):
             m = build_matrix(psi)
             assert len(exact_nullspace(m)) == 3 * psi.n + 1 - rank_exact(m)
+
+    def test_float_kernel_matches_exact_nullity(self):
+        # one QR and an SVD of R give the kernel a full SVD of M gives
+        for exact_psi, *copies in float_copies(8):
+            nullity = len(exact_nullspace(build_matrix(exact_psi)))
+            for psi in copies:
+                basis = isotropy_basis(psi)
+                assert len(basis) == nullity
+                assert all(verify_isotropy(psi, elem) for elem in basis)
+                k = np.array([[c for co in e.x.coords for c in (co.t, co.r, co.s)] + [e.theta] for e in basis])
+                k = k.reshape(nullity, 3 * psi.n + 1)
+                assert np.allclose(k @ k.T, np.eye(nullity), atol=1e-12)
+                ref = np.linalg.svd(build_matrix(psi).data)[2][3 * psi.n + 1 - nullity :]
+                assert np.abs(k.T @ k - ref.T @ ref).max() <= 1e-8
+
+    def test_one_factorization_per_float_analysis(self, monkeypatch):
+        # one pivoted QR of M, and an SVD only of the (3n+1)^2 factor R
+        psi = apply_group(random_local_unitary(6, np.random.default_rng(3)), make_singlet_product(3))
+        qr_calls, svd_shapes = [], []
+        qr, svd = scipy.linalg.qr, np.linalg.svd
+        monkeypatch.setattr(scipy.linalg, "qr", lambda a, *args, **kw: qr_calls.append(a.shape) or qr(a, *args, **kw))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svd_shapes.append(a.shape) or svd(a, *args, **kw))
+        assert len(isotropy_basis(psi)) == 9
+        assert qr_calls == [(128, 19)] and svd_shapes == [(19, 19)]
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
