@@ -6,6 +6,7 @@ the verification suites.  All output is machine-readable; exit codes are
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from .inner_products import (
 )
 from .lie_action import triple_columns
 from .orbit_matrix import (
+    BLOCK_AMPS,
     DEFAULT_TOL,
     build_matrix,
     dump_csv,
@@ -49,20 +51,47 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-FLOAT_CAPACITY_N = 14
+# Peak bytes per amplitude while a state is built, measured with tracemalloc
+# at n = 16: 34 (Haar), 50 (cat, basis), 58 (singlet*8), 68 (singlet*7+0).
+STATE_BYTES_PER_AMP = 80
+# Row-block-sized buffers that `factorize` holds at once (6 measured at n = 16).
+BLOCK_BUFFERS = 8
 
 
 class SpecParseError(ValueError):
     pass
 
 
+def physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def capacity_error(n: int) -> str | None:
+    """Why an n-qubit state cannot be analyzed here, or None when the state
+    and the float64 row blocks of M fit in physical memory."""
+    memory = physical_memory()
+    # 2**n bytes alone exceed memory from n = memory.bit_length() on;
+    # testing that first keeps a huge n from making a huge integer
+    block_bytes = 2 * BLOCK_AMPS * (3 * n + 1) * 8
+    if n < memory.bit_length() and (STATE_BYTES_PER_AMP << n) + BLOCK_BUFFERS * block_bytes <= memory:
+        return None
+    return (
+        f"n={n} exceeds capacity: the state and the row blocks of M would not fit "
+        f"in the {memory / 2**30:.1f} GiB of physical memory"
+    )
+
+
+# (pattern, qubit count read off the match, builder).  A file: state has no
+# count to read ahead; the file's own size bounds it.
 _SPEC_PATTERNS = [
-    (re.compile(r"^singlet\*(\d+)\+0$"), lambda m: make_singlet_product_plus_zero(int(m.group(1)))),
-    (re.compile(r"^singlet\*(\d+)$"), lambda m: make_singlet_product(int(m.group(1)))),
-    (re.compile(r"^cat:(\d+)$"), lambda m: make_cat(int(m.group(1)))),
-    (re.compile(r"^basis:([01]+)$"), lambda m: make_basis(MultiIndex(tuple(int(b) for b in m.group(1))))),
-    (re.compile(r"^random:(\d+):(\d+)$"), lambda m: sample_haar_state(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^file:(.+)$"), lambda m: load_state(m.group(1))),
+    (re.compile(r"^singlet\*(\d+)\+0$"), lambda m: 2 * int(m[1]) + 1,
+     lambda m: make_singlet_product_plus_zero(int(m[1]))),
+    (re.compile(r"^singlet\*(\d+)$"), lambda m: 2 * int(m[1]), lambda m: make_singlet_product(int(m[1]))),
+    (re.compile(r"^cat:(\d+)$"), lambda m: int(m[1]), lambda m: make_cat(int(m[1]))),
+    (re.compile(r"^basis:([01]+)$"), lambda m: len(m[1]),
+     lambda m: make_basis(MultiIndex(tuple(int(b) for b in m[1])))),
+    (re.compile(r"^random:(\d+):(\d+)$"), lambda m: int(m[1]), lambda m: sample_haar_state(int(m[1]), int(m[2]))),
+    (re.compile(r"^file:(.+)$"), None, lambda m: load_state(m[1])),
 ]
 
 
@@ -70,12 +99,16 @@ def parse_state_spec(spec: str) -> PureState:
     """Parse a state spec string into a state.
 
     Grammar: singlet*<k> | singlet*<k>+0 | cat:<n> | basis:<bits> |
-    random:<n>:<seed> | file:<path>.
+    random:<n>:<seed> | file:<path>.  A state too large for memory is
+    refused before anything is allocated for it.
     """
-    for pattern, builder in _SPEC_PATTERNS:
+    for pattern, qubits, builder in _SPEC_PATTERNS:
         match = pattern.match(spec)
         if match:
             try:
+                error = qubits and capacity_error(qubits(match))
+                if error:
+                    raise ValueError(error)
                 return builder(match)
             except (ValueError, OverflowError, OSError) as exc:
                 raise SpecParseError(f"bad state spec {spec!r}: {exc}") from exc
@@ -160,13 +193,12 @@ def analyze_state(
     force_exact: bool = False,
     dump_matrix: str | None = None,
 ) -> AnalysisReport:
-    matrix = build_matrix(psi)
-    if force_exact and not matrix.exact:
+    if force_exact and not psi.is_exact:
         raise ValueError("--exact requires a state with exact amplitudes")
-    rank, kernel = factorize(matrix, tol)
-    rank_path = "exact" if matrix.exact else "float"
+    rank, kernel = factorize(psi, tol)
+    rank_path = "exact" if psi.is_exact else "float"
     if dump_matrix:
-        dump_csv(matrix, dump_matrix)
+        dump_csv(build_matrix(psi), dump_matrix)
     basis_out = []
     for vec in kernel:
         floats = [float(v) for v in vec]
@@ -177,7 +209,7 @@ def analyze_state(
         n=psi.n,
         orbit_dimension=rank - 1,
         rank=rank,
-        matrix_shape=matrix.shape,
+        matrix_shape=(2 << psi.n, 3 * psi.n + 1),
         min_bound=bound,
         achieves_min=(rank - 1 == bound),
         isotropy_dimension=3 * psi.n + 1 - rank,
@@ -207,8 +239,9 @@ def cmd_sweep(args) -> int:
     if args.n < 1 or args.samples < 1:
         print("error: need n >= 1 and samples >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.n > FLOAT_CAPACITY_N:
-        print(f"error: n={args.n} exceeds capacity {FLOAT_CAPACITY_N}", file=sys.stderr)
+    error = capacity_error(args.n)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:
         print("error: need seed >= 0", file=sys.stderr)
@@ -252,22 +285,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VERIFY_FAIL
 
 
-def _verify_theorem(n_max: int, tol: float):
+def _verify_theorem(n_max: int):
     """Exact minimum-orbit checks for the singlet families, plus cat states."""
     for n in range(2, n_max + 1, 2):
         psi = make_singlet_product(n // 2)
-        dim = factorize(build_matrix(psi))[0] - 1
+        dim = factorize(psi)[0] - 1
         yield f"singlet^{n // 2} (n={n}) orbit dim {dim} == {3 * n // 2}", dim == 3 * n // 2
     for n in range(3, n_max + 1, 2):
         psi = make_singlet_product_plus_zero((n - 1) // 2)
-        dim = factorize(build_matrix(psi))[0] - 1
+        dim = factorize(psi)[0] - 1
         yield f"singlet^{(n - 1) // 2}+|0> (n={n}) orbit dim {dim} == {(3 * n + 1) // 2}", dim == (3 * n + 1) // 2
     for n in range(3, min(n_max, 8) + 1):
-        dim = factorize(build_matrix(make_cat(n)))[0] - 1
+        dim = factorize(make_cat(n))[0] - 1
         yield f"cat:{n} orbit dim {dim} > bound {min_orbit_bound(n)}", dim > min_orbit_bound(n)
 
 
-def _verify_table1(n_max: int, tol: float):
+def _verify_table1(n_max: int):
     """Closed forms against direct column inner products on random states."""
     for n in range(1, min(n_max, 5) + 1):
         worst = 0.0
@@ -285,7 +318,7 @@ def _verify_table1(n_max: int, tol: float):
         yield f"table-vs-direct n={n}, 50 states, worst rel err {worst:.2e}", worst <= 1e-12
 
 
-def _verify_triples(n_max: int, tol: float):
+def _verify_triples(n_max: int):
     for n in range(1, n_max + 1):
         worst = 0.0
         for sample in range(50):
@@ -310,7 +343,7 @@ def engineered_sign_instance(rng: np.random.Generator, m: int):
     return values + [last]
 
 
-def _verify_lemma(n_max: int, tol: float):
+def _verify_lemma(n_max: int):
     rng = np.random.default_rng(2026)
     count, even_ok, parity_ok = 0, True, True
     for _ in range(500):
@@ -343,7 +376,7 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_USAGE
     failures = []
-    for name, ok in suite(args.n_max, args.tol):
+    for name, ok in suite(args.n_max):
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name}")
         if not ok:
@@ -354,7 +387,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and the tolerance default is read per call in `main`."""
     parser = argparse.ArgumentParser(
         prog="orbitscope",
         description="Local-unitary orbit dimensions for n-qubit pure states",
@@ -379,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p_verify.add_argument("--n-max", type=int, default=6)
-    p_verify.add_argument("--tol")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -390,11 +425,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        args.tol = default_tolerance() if args.tol is None else parse_tolerance(args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if hasattr(args, "tol"):  # verify has no tolerance
+        try:
+            args.tol = default_tolerance() if args.tol is None else parse_tolerance(args.tol)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

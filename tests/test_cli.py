@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from orbitscope import cli
 from orbitscope.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -57,6 +58,41 @@ class TestParseStateSpec:
             parse_state_spec(spec)
 
 
+@pytest.fixture
+def no_state_builders(monkeypatch):
+    """Fail the test if a spec gets as far as building its state."""
+    def refuse(*args):
+        pytest.fail("a state was built for a spec that should be refused")
+
+    for name in ("make_basis", "make_cat", "make_singlet_product", "make_singlet_product_plus_zero",
+                 "sample_haar_state"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("spec", ["random:40:1", "cat:40", "singlet*20", "singlet*19+0", "basis:" + "01" * 20])
+    def test_refused_before_allocation(self, capsys, no_state_builders, spec):
+        with pytest.raises(SpecParseError, match="exceeds capacity"):
+            parse_state_spec(spec)
+        code, out, err = run_cli(capsys, "analyze", "--state", spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_refusal_follows_physical_memory(self, capsys, monkeypatch):
+        assert parse_state_spec("random:12:1").n == 12
+        monkeypatch.setattr(cli, "physical_memory", lambda: 1 << 20)
+        with pytest.raises(SpecParseError, match="exceeds capacity"):
+            parse_state_spec("random:12:1")
+        code, out, err = run_cli(capsys, "sweep", "--n", "12", "--samples", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: n=12 exceeds capacity") and err.count("\n") == 1
+
+    def test_huge_qubit_counts_refused(self, no_state_builders):
+        with pytest.raises(SpecParseError, match="exceeds capacity"):
+            parse_state_spec("random:" + "9" * 40 + ":1")
+
+
 class TestDumps:
     def test_float_precision(self):
         assert dumps(1 / 3) == "0.33333333333333331"
@@ -96,7 +132,10 @@ class TestDefaultTolerance:
         code, out, err = run_cli(capsys, *command, "--tol", tol)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: --tol") and err.count("\n") == 1
+        if command[0] == "verify":  # no suite reads a tolerance, so verify takes none
+            assert "unrecognized arguments: --tol" in err
+        else:
+            assert err.startswith("error: --tol") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["abc", "nan", "1"])
     def test_unusable_env_tolerance_rejected(self, capsys, monkeypatch, tol):
@@ -133,6 +172,14 @@ class TestAnalyze:
         assert doc["orbit_dimension"] == 9
         assert doc["rank_path"] == "float"
         assert doc["tolerance"] == 1e-10
+
+    def test_streamed_beyond_the_whole_matrix_sizes(self, capsys):
+        # M would be 51 MB at n = 16; the analysis holds row blocks only
+        code, out, _ = run_cli(capsys, "analyze", "--state", "random:16:1")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["orbit_dimension"] == 48
+        assert doc["matrix_shape"] == [2**17, 49]
 
     def test_exact_flag_rejects_float_state(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--state", "random:2:1", "--exact")
@@ -232,7 +279,7 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--n", "2", "--samples", "1", "--seed", "-1")[0] == EXIT_USAGE
         assert run_cli(capsys, "sweep", "--n", "0", "--samples", "1")[0] == EXIT_USAGE
         assert run_cli(capsys, "sweep", "--n", "2", "--samples", "0")[0] == EXIT_USAGE
-        assert run_cli(capsys, "sweep", "--n", "15", "--samples", "1")[0] == EXIT_USAGE
+        assert run_cli(capsys, "sweep", "--n", "40", "--samples", "1")[0] == EXIT_USAGE
         assert (
             run_cli(capsys, "sweep", "--family", "x", "--n", "2", "--samples", "1")[0]
             == EXIT_USAGE
@@ -272,8 +319,30 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "nope")[0] == EXIT_USAGE
 
+    def test_takes_no_tolerance(self, capsys):
+        assert run_cli(capsys, "verify", "--suite", "triples", "--n-max", "3", "--tol", "0")[0] == EXIT_USAGE
+
     def test_missing_command(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
+
+
+def test_consecutive_calls_share_no_values(capsys, monkeypatch):
+    # the parser is built once per process; nothing parsed may carry over
+    monkeypatch.delenv("ORBITSCOPE_TOL", raising=False)
+    code, out, _ = run_cli(capsys, "analyze", "--state", "random:3:1", "--tol", "1e-8")
+    assert code == EXIT_OK and json.loads(out)["tolerance"] == 1e-8
+    code, out, _ = run_cli(capsys, "analyze", "--state", "cat:3", "--exact")
+    assert code == EXIT_OK and json.loads(out)["orbit_dimension"] == 7
+    code, out, _ = run_cli(capsys, "analyze", "--state", "random:3:1")
+    assert code == EXIT_OK and json.loads(out)["tolerance"] == 1e-10
+    code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--samples", "2")
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == EXIT_OK and [line.get("seed") for line in lines[:2]] == [
+        int(np.random.SeedSequence([0, i]).generate_state(1, np.uint64)[0]) for i in range(2)
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma")
+    assert code == EXIT_OK and "500/500" in out
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_entry_point_subprocess():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,10 @@ from orbitscope.lie_action import (
     random_local_unitary,
     apply_group,
 )
+from orbitscope import orbit_matrix
 from orbitscope.orbit_matrix import (
+    BLOCK_AMPS,
+    DEFAULT_TOL,
     ExactPathError,
     IsotropyElement,
     OrbitMatrix,
@@ -148,15 +152,29 @@ class TestBuildMatrix:
             if bits > 8:
                 assert build_matrix(psi).gram.dtype == object
 
-    def test_gram_check_rejects_a_wrong_matrix(self):
-        # one changed entry of M breaks a Gram fact that factorize checks
-        for psi in (make_cat(3), sample_haar_state(12, 5)):
+    def test_gram_check_rejects_a_wrong_matrix(self, monkeypatch):
+        # one changed entry of M, whole or in one streamed row block (a middle
+        # one of the eight at n = 12), breaks a Gram fact that is checked
+        build = orbit_matrix._build_real
+        for psi, bad_lo in ((make_cat(3), 0), (sample_haar_state(12, 5), 4 * BLOCK_AMPS)):
             good = build_matrix(psi)
             data = good.data.copy()
             data[0, 0] = data[0, 0] + 1 if good.exact else -data[0, 0]
-            factorize(good)
+            factorize(psi)
+            rank = rank_exact if good.exact else rank_float
             with pytest.raises(AssertionError, match="inner-product table"):
-                factorize(OrbitMatrix(n=psi.n, data=data, exact=good.exact))
+                rank(OrbitMatrix(n=psi.n, data=data, exact=good.exact, den=good.den))
+
+            def corrupted(re, im, n, lo, hi):
+                block = build(re, im, n, lo, hi)
+                if lo == bad_lo:
+                    block[0, 0] = block[0, 0] + 1 if good.exact else -block[0, 0]
+                return block
+
+            monkeypatch.setattr(orbit_matrix, "_build_real", corrupted)
+            with pytest.raises(AssertionError, match="inner-product table"):
+                factorize(psi)
+            monkeypatch.setattr(orbit_matrix, "_build_real", build)
 
     def test_entries_come_from_amplitudes(self):
         psi = sample_haar_state(3, 17)
@@ -298,19 +316,81 @@ class TestIsotropy:
                 assert np.abs(k.T @ k - ref.T @ ref).max() <= 1e-8
 
     def test_one_factorization_per_float_analysis(self, monkeypatch):
-        # one pivoted QR of M, and an SVD only of the (3n+1)^2 factor R
-        psi = apply_group(random_local_unitary(6, np.random.default_rng(3)), make_singlet_product(3))
-        qr_calls, svd_shapes = [], []
-        qr, svd = scipy.linalg.qr, np.linalg.svd
-        monkeypatch.setattr(scipy.linalg, "qr", lambda a, *args, **kw: qr_calls.append(a.shape) or qr(a, *args, **kw))
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svd_shapes.append(a.shape) or svd(a, *args, **kw))
-        assert len(isotropy_basis(psi)) == 9
-        assert qr_calls == [(128, 19)] and svd_shapes == [(19, 19)]
+        # TSQR folds of at most two row blocks, then one pivoted QR (of M
+        # itself when M is one block, else of the (3n+1)^2 factor R) and one
+        # SVD of the (3n+1)^2 factor it leaves
+        calls = []
+
+        def record(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, *args, **kw: calls.append((name, a.shape)) or original(a, *args, **kw))
+
+        record(scipy.linalg, "qr")
+        record(scipy.linalg.lapack, "dgeqrf")
+        record(np.linalg, "svd")
+        rng = np.random.default_rng(3)
+        for k, blocks in ((3, 1), (6, 8)):
+            n, cols = 2 * k, 6 * k + 1
+            psi = apply_group(random_local_unitary(n, rng), make_singlet_product(k))
+            calls.clear()
+            assert len(isotropy_basis(psi)) == 3 * k
+            assert all(shape[0] <= 2 * (2 * BLOCK_AMPS) for _, shape in calls)
+            assert [name for name, _ in calls].count("dgeqrf") == blocks - 1
+            pivoted = (2 << n, cols) if blocks == 1 else (cols, cols)
+            assert [c for c in calls if c[0] != "dgeqrf"] == [("qr", pivoted), ("svd", (cols, cols))]
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
             for elem in isotropy_basis(psi):
                 assert verify_isotropy(psi, elem, tol=1e-10)
+
+
+def reference_factorization(psi, tol=DEFAULT_TOL):
+    """Rank and kernel projector from one pivoted QR of the whole float M."""
+    a = build_matrix(psi).as_float()
+    cols = a.shape[1]
+    r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
+    r = r[:cols]
+    pivots = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(pivots > tol * pivots[0]))
+    kernel = np.zeros((cols - rank, cols))
+    kernel[:, perm] = np.linalg.svd(r)[2][rank:]
+    return rank, kernel.T @ kernel
+
+
+class TestStreamedFactorization:
+    def test_float_matches_a_qr_of_the_whole_matrix(self):
+        # pivots tie (every column has norm |psi|), so rank and kernel span
+        # are compared, not pivot order
+        states = [sample_haar_state(n, 500 + n) for n in range(10, 15)]
+        states += [psi for _, *copies in float_copies(10, seed=8) for psi in copies]
+        for psi in states:
+            rank, kernel = factorize(psi)
+            ref_rank, ref_projector = reference_factorization(psi)
+            assert rank == ref_rank
+            assert np.abs(kernel.T @ kernel - ref_projector).max() <= 1e-8
+
+    def test_exact_gram_summed_over_blocks(self):
+        # the block-summed Gram matrix is that of the whole M, and the
+        # streamed exact analysis matches the one of the whole M
+        for psi in exact_families(11):
+            m = build_matrix(psi)
+            assert m.data.dtype == np.int64
+            assert np.array_equal(m.gram, np.einsum("ij,ik->jk", m.data, m.data))
+            assert factorize(psi) == (rank_exact(m), exact_nullspace(m))
+
+    def test_memory_stays_below_an_eighth_of_m(self):
+        n = 16
+        psi = sample_haar_state(n, 1)
+        matrix_bytes = (2 << n) * (3 * n + 1) * 8
+        tracemalloc.start()
+        try:
+            rank, _ = factorize(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == 3 * n + 1
+        assert peak < matrix_bytes / 8
 
 
 class TestVerifyIsotropy:
