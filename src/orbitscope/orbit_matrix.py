@@ -30,7 +30,8 @@ DEFAULT_TOL = 1e-10
 GRAM_RTOL = 1e-10
 # Amplitudes per row block of M (twice as many rows).  A block and the
 # folded R stay in L2 cache; blocks of 256 to 2048 rows ran within 15% of
-# each other at n = 10..14.
+# each other at n = 10..14.  A power of two, so blocks tile the 2^n
+# amplitudes exactly.
 BLOCK_AMPS = 512
 
 
@@ -64,7 +65,7 @@ class OrbitMatrix:
     @cached_property
     def gram(self) -> np.ndarray:
         """(den M)^T (den M) over the integers, exact path only (`_gram`)."""
-        return _gram(_row_slices(self.data), self.shape[0], int(np.abs(self.data).max()))
+        return _gram(_matrix_fill(self.data), self.n, int(np.abs(self.data).max()))
 
     def column_labels(self) -> list[str]:
         labels = []
@@ -89,32 +90,36 @@ class IsotropyElement:
     theta: float | Fraction
 
 
-def _build_real(re: np.ndarray, im: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """Rows 2 lo .. 2 hi - 1 of M, those of amplitude indices lo .. hi - 1,
-    from the bit formulas, on real arrays of any dtype (float or integer).
+def _build_real(re: np.ndarray, im: np.ndarray, n: int, lo: int, hi: int, out: np.ndarray) -> None:
+    """The rows of M for amplitude indices lo .. hi - 1, from the bit formulas,
+    written transposed into `out` of shape (3n+1, 2, hi - lo) and any dtype
+    (float or integer): out[col, 0, j] and out[col, 1, j] are column col of
+    the real and imaginary rows of amplitude lo + j, rows 2(lo+j) and
+    2(lo+j) + 1 of M.
 
-    Row 2i holds the real and row 2i+1 the imaginary part of component I of
-    the columns A_k psi = i (-1)^{i_k} c_I, B_k psi = (-1)^{i_k} c_{I_k},
-    C_k psi = i c_{I_k} for k = 1..n, and -i psi.  Column 3(k-1) + j of M is
-    column j of triple k, so each formula fills every third column at once.
-    The flipped amplitudes c_{I_k} are gathered from the whole of re and im.
+    Those rows hold component I of the columns A_k psi = i (-1)^{i_k} c_I,
+    B_k psi = (-1)^{i_k} c_{I_k}, C_k psi = i c_{I_k} for k = 1..n, and
+    -i psi.  Column 3(k-1) + j of M is column j of triple k, so each formula
+    fills every third column at once, with stores contiguous along the
+    amplitudes.  The flipped amplitudes c_{I_k} are gathered from the whole
+    of re and im.
     """
-    dtype = np.result_type(re, im)
-    idx = np.arange(lo, hi)[:, None]
-    bit = 1 << np.arange(n - 1, -1, -1)  # qubit k is bit n - k of the index
-    sign = np.where(idx & bit, -1, 1).astype(dtype)  # (-1)^{i_k}, shape (hi - lo, n)
-    re_f, im_f = re[idx ^ bit], im[idx ^ bit]  # c_{I_k}
+    idx = np.arange(lo, hi)
+    bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index
+    one = out.dtype.type(1)
+    sign = np.where(idx & bit, -one, one)  # (-1)^{i_k}, shape (n, hi - lo)
+    flip = idx ^ bit
+    re_f, im_f = re[flip], im[flip]  # c_{I_k}
     re, im = re[lo:hi], im[lo:hi]
-    m = np.empty((hi - lo, 2, 3 * n + 1), dtype=dtype)
-    m[:, 0, 0 : 3 * n : 3] = -sign * im[:, None]
-    m[:, 1, 0 : 3 * n : 3] = sign * re[:, None]
-    m[:, 0, 1 : 3 * n : 3] = sign * re_f
-    m[:, 1, 1 : 3 * n : 3] = sign * im_f
-    m[:, 0, 2 : 3 * n : 3] = -im_f
-    m[:, 1, 2 : 3 * n : 3] = re_f
-    m[:, 0, 3 * n] = im
-    m[:, 1, 3 * n] = -re
-    return m.reshape(2 * (hi - lo), 3 * n + 1)
+    t, r, s = out[0 : 3 * n : 3], out[1 : 3 * n : 3], out[2 : 3 * n : 3]
+    np.multiply(sign, -im, out=t[:, 0])
+    np.multiply(sign, re, out=t[:, 1])
+    np.multiply(sign, re_f, out=r[:, 0])
+    np.multiply(sign, im_f, out=r[:, 1])
+    np.negative(im_f, out=s[:, 0])
+    s[:, 1] = re_f
+    out[3 * n, 0] = im
+    np.negative(re, out=out[3 * n, 1])
 
 
 def _parts(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
@@ -123,26 +128,30 @@ def _parts(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
     return psi.num if psi.is_exact else (psi.amps.real, psi.amps.imag)
 
 
-def _row_blocks(psi: PureState):
-    """M (den * M for an exact state) as consecutive blocks of rows, each
-    for BLOCK_AMPS amplitudes, so that M is never held whole."""
+def _state_fill(psi: PureState):
+    """Fill function (lo, hi, out) that builds the rows of M (den * M for an
+    exact state) for amplitudes lo .. hi - 1 into `out` (`_build_real`)."""
     re, im = _parts(psi)
-    dim = 1 << psi.n
-    for lo in range(0, dim, BLOCK_AMPS):
-        yield _build_real(re, im, psi.n, lo, min(lo + BLOCK_AMPS, dim))
+    return lambda lo, hi, out: _build_real(re, im, psi.n, lo, hi, out)
 
 
-def _row_slices(a: np.ndarray):
-    """A whole M cut into the row blocks `_row_blocks` yields."""
-    return (a[lo : lo + 2 * BLOCK_AMPS] for lo in range(0, a.shape[0], 2 * BLOCK_AMPS))
+def _matrix_fill(data: np.ndarray):
+    """Fill function that copies the rows of a given M for amplitudes
+    lo .. hi - 1 into `out`, transposed as `_build_real` writes them."""
+    return lambda lo, hi, out: np.copyto(
+        out, data[2 * lo : 2 * hi].reshape(hi - lo, 2, -1).transpose(2, 1, 0)
+    )
 
 
 def build_matrix(psi: PureState) -> OrbitMatrix:
     """All of M at once: the integer den * M for an exact state, float M
     otherwise.  Analyses stream M in row blocks instead (`factorize`)."""
     re, im = _parts(psi)
-    data = _build_real(re, im, psi.n, 0, 1 << psi.n)
-    return OrbitMatrix(n=psi.n, data=data, exact=psi.is_exact, den=psi.den)
+    n, dim = psi.n, 1 << psi.n
+    out = np.empty((3 * n + 1, 2, dim), dtype=np.result_type(re, im))
+    _build_real(re, im, n, 0, dim, out)
+    data = out.transpose(2, 1, 0).reshape(2 * dim, 3 * n + 1)
+    return OrbitMatrix(n=n, data=data, exact=psi.is_exact, den=psi.den)
 
 
 def _check_gram(g: np.ndarray, rtol: float) -> None:
@@ -175,31 +184,39 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return _pivot_rank(scipy.linalg.qr(a, mode="r", pivoting=True)[0], tol)
 
 
-def _factorize_float(blocks, tol: float) -> tuple[int, np.ndarray]:
-    """Rank and an orthonormal kernel basis (rows) of a float M given as
-    row blocks.
+def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
+    """Rank and an orthonormal kernel basis (rows) of a float M whose row
+    blocks `fill` writes (see `_state_fill`).
 
-    Sequential TSQR: each block after the first is folded into the
-    triangular factor of the rows before it, R <- R of [R; block], so that
-    R^T R = M^T M and no more than R and one block are factorized at once.
-    One column-pivoted QR of R (of M itself when M is one block),
-    R[:, perm] = Q R', then gives both answers.  Pivoting depends only on
-    R^T R, so in exact arithmetic it makes the decisions a pivoted QR of M
-    would.  The rank is the pivot count of R'; the kernel is spanned by the
-    trailing right singular vectors of the (3n+1)^2 factor R', which are
-    those of M[:, perm].  R'^T R' is the Gram matrix of M[:, perm], so the
-    inner-product table is checked on it without touching M again.
+    Sequential TSQR in one Fortran-ordered workspace W: its top 3n+1 rows
+    hold the triangular factor R of the rows folded so far (zero at first),
+    `fill` writes the next block into the rest of W, and an in-place QR of W
+    leaves R of [R; block] on top, so that R^T R = M^T M and no more than R
+    and one block are factorized at once.  The Householder vectors of
+    [R; block] are zero below the diagonal of R, so W's top rows stay
+    exactly triangular.  A block's rows are ordered (part, amplitude), not
+    interleaved; a row permutation leaves R^T R unchanged.
+    One column-pivoted QR of R (of M itself, rows permuted, when M is one
+    block), R[:, perm] = Q R', then gives both answers.  Pivoting depends
+    only on R^T R, so in exact arithmetic it makes the decisions a pivoted
+    QR of M would.  The rank is the pivot count of R'; the kernel is spanned
+    by the trailing right singular vectors of the (3n+1)^2 factor R', which
+    are those of M[:, perm].  R'^T R' is the Gram matrix of M[:, perm], so
+    the inner-product table is checked on it without touching M again.
     """
-    blocks = iter(blocks)
-    r = next(blocks)
-    cols = r.shape[1]
-    for block in blocks:
-        qr, _, _, info = scipy.linalg.lapack.dgeqrf(np.vstack((r, block)))
-        if info:
-            raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
-        r = np.triu(qr[:cols])
+    cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
+    top = cols if amps < 1 << n else 0  # rows of R above the block
+    w = np.zeros((top + 2 * amps, cols), order="F")
+    block = w.T[:, top:].reshape(cols, 2, amps)  # a view: W.T is C-ordered
+    for lo in range(0, 1 << n, amps):
+        fill(lo, lo + amps, block)
+        if top:
+            info = scipy.linalg.lapack.dgeqrf(w, overwrite_a=1)[3]
+            if info:
+                raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
     # M is finite: PureState rejects non-finite amplitudes
-    r, perm = scipy.linalg.qr(r, mode="r", pivoting=True, check_finite=False)
+    r = w[:top] if top else w
+    r, perm = scipy.linalg.qr(r, overwrite_a=True, mode="r", pivoting=True, check_finite=False)
     r = r[:cols]
     g = np.empty((cols, cols))
     g[np.ix_(perm, perm)] = r.T @ r
@@ -211,21 +228,27 @@ def _factorize_float(blocks, tol: float) -> tuple[int, np.ndarray]:
     return rank, kernel
 
 
-def _gram(blocks, rows: int, maxabs: int) -> np.ndarray:
-    """(den M)^T (den M) over the integers, summed over row blocks of den M
-    with `rows` rows in all and entries of magnitude at most `maxabs`.
+def _gram(fill, n: int, maxabs: int) -> np.ndarray:
+    """(den M)^T (den M) over the integers, summed over the row blocks of
+    den M that `fill` writes, for entries of magnitude at most `maxabs`.
 
-    int64 when rows * maxabs^2 < 2**62 bounds every entry and partial sum,
-    object ints otherwise.  rank(M^T M) = rank(M) and ker(M^T M) = ker(M)
-    for real M, and the Gram matrix is only (3n+1) x (3n+1).
+    Each block T, filled transposed, adds T T^T.  While rows * maxabs^2 <
+    2**53, with rows = 2^{n+1}, every product and partial sum is an integer
+    that float64 holds exactly, so the sum runs in float64 through BLAS and
+    is converted once; int64 while rows * maxabs^2 < 2**62; object ints
+    otherwise.  rank(M^T M) = rank(M) and ker(M^T M) = ker(M) for real M,
+    and the Gram matrix is only (3n+1) x (3n+1).
     """
-    wide = rows * maxabs * maxabs >= 2**62
+    cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
+    bound = (2 << n) * maxabs * maxabs
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+    block = np.empty((cols, 2, amps), dtype=dtype)
+    t = block.reshape(cols, 2 * amps)
     g = 0
-    for block in blocks:
-        if wide:
-            block = block.astype(object)
-        g = g + np.einsum("ij,ik->jk", block, block)
-    return g
+    for lo in range(0, 1 << n, amps):
+        fill(lo, lo + amps, block)
+        g = g + (t @ t.T if dtype is np.float64 else np.einsum("ij,kj->ik", t, t))
+    return g.astype(np.int64) if dtype is np.float64 else g
 
 
 def _factorize_exact(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -279,12 +302,12 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     list of Fraction tuples.
     """
     if psi.is_exact:
-        return _factorize_exact(_gram(_row_blocks(psi), 2 << psi.n, int(np.abs(psi.num).max())))
-    return _factorize_float(_row_blocks(psi), tol)
+        return _factorize_exact(_gram(_state_fill(psi), psi.n, int(np.abs(psi.num).max())))
+    return _factorize_float(_state_fill(psi), psi.n, tol)
 
 
 def rank_float(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> int:
-    return _factorize_float(_row_slices(m.as_float()), tol)[0]
+    return _factorize_float(_matrix_fill(m.as_float()), m.n, tol)[0]
 
 
 def rank_exact(m: OrbitMatrix) -> int:
@@ -304,7 +327,7 @@ def exact_nullspace(m: OrbitMatrix) -> list[tuple[Fraction, ...]]:
 def float_nullspace(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Kernel basis on the float path; dimension pinned to cols - rank so the
     reported rank and kernel always agree."""
-    return list(_factorize_float(_row_slices(m.as_float()), tol)[1])
+    return list(_factorize_float(_matrix_fill(m.as_float()), m.n, tol)[1])
 
 
 def _unpack_kernel_vector(v, n: int) -> IsotropyElement:

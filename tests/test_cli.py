@@ -88,6 +88,18 @@ class TestCapacity:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: n=12 exceeds capacity") and err.count("\n") == 1
 
+    def test_dump_counts_the_whole_matrix(self, capsys, monkeypatch, tmp_path):
+        # 4 MiB holds the state and row blocks at n = 12, not two copies of M
+        monkeypatch.setattr(cli, "physical_memory", lambda: 4 << 20)
+        assert run_cli(capsys, "analyze", "--state", "random:12:1")[0] == EXIT_OK
+        monkeypatch.setattr(cli, "factorize", lambda *args: pytest.fail("factorized a refused dump"))
+        path = tmp_path / "m.csv"
+        code, out, err = run_cli(capsys, "analyze", "--state", "random:12:1", "--dump-matrix", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: n=12 exceeds capacity: the state and the whole matrix M")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
     def test_huge_qubit_counts_refused(self, no_state_builders):
         with pytest.raises(SpecParseError, match="exceeds capacity"):
             parse_state_spec("random:" + "9" * 40 + ":1")
@@ -294,11 +306,11 @@ class TestVerify:
         assert lines and all(line.startswith("pass") for line in lines)
 
     def test_theorem_suite_beyond_bench_sizes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem", "--n-max", "14")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem", "--n-max", "16")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
-        assert any("(n=14) orbit dim 21 == 21" in line for line in lines)
-        assert any("(n=13) orbit dim 20 == 20" in line for line in lines)
+        assert any("(n=16) orbit dim 24 == 24" in line for line in lines)
+        assert any("(n=15) orbit dim 23 == 23" in line for line in lines)
         assert all(line.startswith("pass") for line in lines)
 
     def test_table1_suite(self, capsys):

@@ -100,6 +100,12 @@ def float_copies(n_max, seed=0):
         yield psi, PureState(n=psi.n, amps=psi.amps), apply_group(random_local_unitary(psi.n, rng), psi)
 
 
+def object_gram(data):
+    """M^T M of an integer M in Python ints, which never overflow."""
+    data = data.astype(object)
+    return data.T @ data
+
+
 def assert_exact_matrix_matches(psi):
     m = build_matrix(psi)
     assert m.exact and m.data.dtype in (np.int64, object)
@@ -149,8 +155,9 @@ class TestBuildMatrix:
             psi = PureState.from_exact(exact)
             assert psi.exact == tuple(exact)
             assert_exact_matrix_matches(psi)
-            if bits > 8:
-                assert build_matrix(psi).gram.dtype == object
+            gram = build_matrix(psi).gram
+            assert gram.dtype == (np.int64 if bits == 8 else object)
+            assert np.array_equal(gram, object_gram(build_matrix(psi).data))
 
     def test_gram_check_rejects_a_wrong_matrix(self, monkeypatch):
         # one changed entry of M, whole or in one streamed row block (a middle
@@ -165,16 +172,30 @@ class TestBuildMatrix:
             with pytest.raises(AssertionError, match="inner-product table"):
                 rank(OrbitMatrix(n=psi.n, data=data, exact=good.exact, den=good.den))
 
-            def corrupted(re, im, n, lo, hi):
-                block = build(re, im, n, lo, hi)
+            def corrupted(re, im, n, lo, hi, out):
+                build(re, im, n, lo, hi, out)
                 if lo == bad_lo:
-                    block[0, 0] = block[0, 0] + 1 if good.exact else -block[0, 0]
-                return block
+                    out[0, 0, 0] = out[0, 0, 0] + 1 if good.exact else -out[0, 0, 0]
 
             monkeypatch.setattr(orbit_matrix, "_build_real", corrupted)
             with pytest.raises(AssertionError, match="inner-product table"):
                 factorize(psi)
             monkeypatch.setattr(orbit_matrix, "_build_real", build)
+
+    def test_transposed_block_matches_matrix_rows(self):
+        # a middle block, built or copied from M, holds the matching rows of
+        # the whole M transposed, real and imaginary rows apart
+        for psi, dtype in ((sample_haar_state(12, 9), np.float64), (make_cat(10), np.int64)):
+            m = build_matrix(psi).data
+            cols, lo = m.shape[1], 1 << (psi.n - 1)
+            hi = lo + BLOCK_AMPS
+            assert m.dtype == dtype
+            rows = m[2 * lo : 2 * hi]
+            for fill in (orbit_matrix._state_fill(psi), orbit_matrix._matrix_fill(m)):
+                out = np.empty((cols, 2, hi - lo), dtype=dtype)
+                fill(lo, hi, out)
+                assert np.array_equal(out[:, 0].T, rows[0::2])
+                assert np.array_equal(out[:, 1].T, rows[1::2])
 
     def test_entries_come_from_amplitudes(self):
         psi = sample_haar_state(3, 17)
@@ -316,28 +337,38 @@ class TestIsotropy:
                 assert np.abs(k.T @ k - ref.T @ ref).max() <= 1e-8
 
     def test_one_factorization_per_float_analysis(self, monkeypatch):
-        # TSQR folds of at most two row blocks, then one pivoted QR (of M
-        # itself when M is one block, else of the (3n+1)^2 factor R) and one
-        # SVD of the (3n+1)^2 factor it leaves
+        # one in-place dgeqrf per row block, all on the same F-ordered
+        # workspace, no stacked copies, then one pivoted QR (of M itself when
+        # M is one block, else of the (3n+1)^2 factor R) and one SVD of the
+        # (3n+1)^2 factor it leaves
         calls = []
 
         def record(module, name):
             original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda a, *args, **kw: calls.append((name, a.shape)) or original(a, *args, **kw))
+            monkeypatch.setattr(module, name, lambda a, *args, **kw: calls.append((name, a)) or original(a, *args, **kw))
 
         record(scipy.linalg, "qr")
         record(scipy.linalg.lapack, "dgeqrf")
         record(np.linalg, "svd")
+        record(np, "vstack")
         rng = np.random.default_rng(3)
         for k, blocks in ((3, 1), (6, 8)):
             n, cols = 2 * k, 6 * k + 1
             psi = apply_group(random_local_unitary(n, rng), make_singlet_product(k))
             calls.clear()
             assert len(isotropy_basis(psi)) == 3 * k
-            assert all(shape[0] <= 2 * (2 * BLOCK_AMPS) for _, shape in calls)
-            assert [name for name, _ in calls].count("dgeqrf") == blocks - 1
+            folds = [a for name, a in calls if name == "dgeqrf"]
+            assert len(folds) == (blocks if blocks > 1 else 0)
+            assert all(a is folds[0] for a in folds)
+            assert all(a.shape == (cols + 2 * BLOCK_AMPS, cols) and a.flags.f_contiguous for a in folds)
+            # the folds leave R exactly triangular, with no Householder
+            # entries below its diagonal for the next fold to pick up
+            assert not any(np.tril(a[:cols], -1).any() for a in folds)
+            rest = [(name, a.shape) for name, a in calls if name != "dgeqrf"]
             pivoted = (2 << n, cols) if blocks == 1 else (cols, cols)
-            assert [c for c in calls if c[0] != "dgeqrf"] == [("qr", pivoted), ("svd", (cols, cols))]
+            assert rest == [("qr", pivoted), ("svd", (cols, cols))]
+            if blocks == 1:
+                assert calls[0][1].flags.f_contiguous
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
@@ -371,13 +402,25 @@ class TestStreamedFactorization:
             assert np.abs(kernel.T @ kernel - ref_projector).max() <= 1e-8
 
     def test_exact_gram_summed_over_blocks(self):
-        # the block-summed Gram matrix is that of the whole M, and the
-        # streamed exact analysis matches the one of the whole M
+        # the block-summed Gram matrix (float64 tier) is that of the whole M
+        # in Python ints, and the streamed exact analysis matches the one of
+        # the whole M
         for psi in exact_families(11):
             m = build_matrix(psi)
             assert m.data.dtype == np.int64
-            assert np.array_equal(m.gram, np.einsum("ij,ik->jk", m.data, m.data))
+            assert np.array_equal(m.gram, object_gram(m.data))
             assert factorize(psi) == (rank_exact(m), exact_nullspace(m))
+
+    def test_exact_gram_tiers_at_2_pow_53(self):
+        # rows * max|m|^2 just below 2**53 sums in float64; just past it the
+        # Gram matrix has odd entries above 2**53, which float64 cannot hold,
+        # so only the int64 sum gets them right
+        for top, past in ((47453132, False), (47453134, True)):
+            m = build_matrix(PureState(n=1, num=np.array([[top, top], [top, top - 1]])))
+            assert (4 * top * top >= 2**53) == past
+            expected = object_gram(m.data)
+            assert m.gram.dtype == np.int64 and np.array_equal(m.gram, expected)
+            assert any(int(float(v)) != v for v in expected.ravel()) == past
 
     def test_memory_stays_below_an_eighth_of_m(self):
         n = 16
