@@ -30,7 +30,6 @@ from .lie_action import triple_columns
 from .orbit_matrix import (
     BLOCK_AMPS,
     DEFAULT_TOL,
-    build_matrix,
     dump_csv,
     factorize,
     min_orbit_bound,
@@ -58,10 +57,6 @@ STATE_BYTES_PER_AMP = 80
 # tracemalloc peak: 2.1 (Haar, n = 16), 2.6 (exact, n = 16), 6.2 (exact with
 # a Python-int Gram sum, n = 11).
 BLOCK_BUFFERS = 8
-# Copies of the whole float64 M that `--dump-matrix` holds at once: the
-# transposed build and its interleaved copy (tracemalloc peak 2.0 M at
-# n = 12 and 14).
-MATRIX_COPIES = 2
 
 
 class SpecParseError(ValueError):
@@ -72,22 +67,18 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def capacity_error(n: int, whole_matrix: bool = False) -> str | None:
+def capacity_error(n: int) -> str | None:
     """Why an n-qubit state cannot be analyzed here, or None when the state
-    and the float64 row blocks of M, and with `whole_matrix` the copies of
-    all of M that a dump holds, fit in physical memory."""
+    and the float64 row blocks of M fit in physical memory."""
     memory = physical_memory()
     # 2**n bytes alone exceed memory from n = memory.bit_length() on;
     # testing that first keeps a huge n from making a huge integer
     if n < memory.bit_length():
         need = (STATE_BYTES_PER_AMP << n) + BLOCK_BUFFERS * 2 * BLOCK_AMPS * (3 * n + 1) * 8
-        if whole_matrix:
-            need += MATRIX_COPIES * (2 << n) * (3 * n + 1) * 8
         if need <= memory:
             return None
-    parts = "the whole matrix M" if whole_matrix else "the row blocks of M"
     return (
-        f"n={n} exceeds capacity: the state and {parts} would not fit "
+        f"n={n} exceeds capacity: the state and the row blocks of M would not fit "
         f"in the {memory / 2**30:.1f} GiB of physical memory"
     )
 
@@ -209,7 +200,7 @@ def analyze_state(
     rank, kernel = factorize(psi, tol)
     rank_path = "exact" if psi.is_exact else "float"
     if dump_matrix:
-        dump_csv(build_matrix(psi), dump_matrix)
+        dump_csv(psi, dump_matrix)
     basis_out = []
     for vec in kernel:
         floats = [float(v) for v in vec]
@@ -233,9 +224,6 @@ def analyze_state(
 def cmd_analyze(args) -> int:
     try:
         psi = parse_state_spec(args.state)
-        error = args.dump_matrix and capacity_error(psi.n, whole_matrix=True)
-        if error:
-            raise ValueError(error)
         report = analyze_state(
             psi, args.tol, force_exact=args.exact, dump_matrix=args.dump_matrix
         )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import ExactAmp, PureState, flip_index
+from .states import PureState
 
 A_MATRIX = np.array([[1j, 0], [0, -1j]])
 B_MATRIX = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -161,42 +161,43 @@ def apply_algebra(x: LocalAlgebraElement, psi: PureState) -> np.ndarray:
     return out
 
 
+def _slot_signs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^{i_k} and the storage index of I_k, for every storage index I."""
+    if not 1 <= k <= n:
+        raise ValueError(f"slot k={k} out of range 1..{n}")
+    idx = np.arange(1 << n)
+    return 1 - 2 * ((idx >> (n - k)) & 1), idx ^ (1 << (n - k))
+
+
 def triple_columns(
     psi: PureState, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The complex column vectors A_k|psi>, B_k|psi>, C_k|psi> of the triple T_k."""
-    n = psi.n
-    if not 1 <= k <= n:
-        raise ValueError(f"slot k={k} out of range 1..{n}")
-    c = psi.amps
-    idx = np.arange(1 << n)
-    ik = (idx >> (n - k)) & 1
-    sign = 1 - 2 * ik
-    flipped = c[idx ^ (1 << (n - k))]
-    vec_a = 1j * sign * c
-    vec_b = sign * flipped
-    vec_c = 1j * flipped
-    return vec_a, vec_b, vec_c
+    sign, flip = _slot_signs(psi.n, k)
+    c, flipped = psi.amps, psi.amps[flip]
+    return 1j * sign * c, sign * flipped, 1j * flipped
 
 
-def triple_columns_exact(
-    psi: PureState, k: int
-) -> tuple[tuple[ExactAmp, ...], tuple[ExactAmp, ...], tuple[ExactAmp, ...]]:
-    """Exact-rational triple columns, as (re, im) Fraction pairs."""
-    n = psi.n
-    if not 1 <= k <= n:
-        raise ValueError(f"slot k={k} out of range 1..{n}")
+def triple_columns_exact(psi: PureState, k: int) -> tuple[tuple, tuple, tuple]:
+    """Exact-rational triple columns, as (re, im) Fraction pairs.
+
+    The columns are formed on the Gaussian-integer numerators (as Python
+    ints) and divided by the state's denominator only on return.
+    """
+    sign, flip = _slot_signs(psi.n, k)
     if not psi.is_exact:
         raise ValueError("exact path requires an exact state")
-    vec_a, vec_b, vec_c = [], [], []
-    for i in range(1 << n):
-        a_i, b_i = psi.exact[i]
-        af, bf = psi.exact[flip_index(i, n, k)]
-        sign = 1 - 2 * ((i >> (n - k)) & 1)
-        vec_a.append((-sign * b_i, sign * a_i))  # i * sign * c_I
-        vec_b.append((sign * af, sign * bf))
-        vec_c.append((-bf, af))  # i * c_{I_k}
-    return tuple(vec_a), tuple(vec_b), tuple(vec_c)
+    re, im = psi.num.astype(object)
+    re_f, im_f = re[flip], im[flip]  # c_{I_k}
+    columns = (
+        (-sign * im, sign * re),  # i * sign * c_I
+        (sign * re_f, sign * im_f),
+        (-im_f, re_f),  # i * c_{I_k}
+    )
+    return tuple(
+        tuple((Fraction(a, psi.den), Fraction(b, psi.den)) for a, b in zip(x.tolist(), y.tolist()))
+        for x, y in columns
+    )
 
 
 def apply_group(u: LocalUnitary, psi: PureState) -> PureState:

@@ -67,20 +67,6 @@ class OrbitMatrix:
         """(den M)^T (den M) over the integers, exact path only (`_gram`)."""
         return _gram(_matrix_fill(self.data), self.n, int(np.abs(self.data).max()))
 
-    def column_labels(self) -> list[str]:
-        labels = []
-        for k in range(1, self.n + 1):
-            labels += [f"t{k}", f"r{k}", f"s{k}"]
-        labels.append("theta")
-        return labels
-
-    def row_labels(self) -> list[str]:
-        labels = []
-        for i in range(1 << self.n):
-            bits = format(i, f"0{self.n}b")
-            labels += [f"{bits}:re", f"{bits}:im"]
-        return labels
-
 
 @dataclass(frozen=True)
 class IsotropyElement:
@@ -251,9 +237,8 @@ def _gram(fill, n: int, maxabs: int) -> np.ndarray:
     return g.astype(np.int64) if dtype is np.float64 else g
 
 
-def _factorize_exact(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank and kernel basis of M from its integer Gram matrix, after the
-    exact table check.
+def exact_rank_kernel(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank and kernel basis of an integer matrix (a Gram matrix here).
 
     Gauss-Jordan elimination, fraction-free, with no tolerance: each updated
     row is divided by the gcd of its entries, so everything stays a small
@@ -261,7 +246,6 @@ def _factorize_exact(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]
     rows; they are the ones the reduced row echelon form gives, one per free
     column.
     """
-    _check_gram(gram, 0)
     rows = gram.tolist()
     size = len(rows)
     pivots: list[int] = []
@@ -288,6 +272,13 @@ def _factorize_exact(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]
             v[pc] = Fraction(-rows[r][fc], rows[r][pc])
         basis.append(tuple(v))
     return len(pivots), basis
+
+
+def _factorize_exact(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank and kernel basis of M from its integer Gram matrix, after the
+    exact table check (`exact_rank_kernel`)."""
+    _check_gram(gram, 0)
+    return exact_rank_kernel(gram)
 
 
 def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.ndarray]:
@@ -375,13 +366,22 @@ def orbit_dimension(psi: PureState, tol: float = DEFAULT_TOL) -> int:
     return factorize(psi, tol)[0] - 1
 
 
-def dump_csv(m: OrbitMatrix, path: str) -> None:
-    """Write M as CSV with labeled header row and row labels; exact entries
-    are written as the rationals they stand for, not as scaled integers."""
+def dump_csv(psi: PureState, path: str) -> None:
+    """Write M as CSV with labeled header row and row labels, streamed one
+    row block at a time; exact entries are written as the rationals they
+    stand for, not as scaled integers."""
+    re, im = _parts(psi)
+    n, cols, amps = psi.n, 3 * psi.n + 1, min(1 << psi.n, BLOCK_AMPS)
+    # a block of rows of M in order; `_build_real` writes its transposed view
+    rows = np.empty((amps, 2, cols), dtype=np.result_type(re, im))
+    entry = (lambda v: str(Fraction(v, psi.den))) if psi.is_exact else str
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row"] + m.column_labels())
-        for label, row in zip(m.row_labels(), m.data):
-            if m.exact:
-                row = [Fraction(int(v), m.den) for v in row]
-            writer.writerow([label] + [str(v) for v in row])
+        writer.writerow(
+            ["row"] + [f"{c}{k}" for k in range(1, n + 1) for c in "trs"] + ["theta"]
+        )
+        for lo in range(0, 1 << n, amps):
+            _build_real(re, im, n, lo, lo + amps, rows.transpose(2, 1, 0))
+            for i, row in enumerate(rows.reshape(2 * amps, cols)):
+                label = f"{lo + i // 2:0{n}b}:{'im' if i % 2 else 're'}"
+                writer.writerow([label] + [entry(v) for v in row.tolist()])

@@ -10,14 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-
-# An exact complex amplitude is a (real, imag) pair of Fractions.
-ExactAmp = tuple[Fraction, Fraction]
 
 
 class ZeroStateError(ValueError):
@@ -73,11 +70,6 @@ def multi_index_double_complement(index: MultiIndex, k: int, l: int) -> MultiInd
     return multi_index_complement(multi_index_complement(index, k), l)
 
 
-def flip_index(idx: int, n: int, k: int) -> int:
-    """Storage index of I_k given the storage index of I."""
-    return idx ^ (1 << (n - k))
-
-
 # Exact numerators are held as int64 only below this magnitude, so that they
 # convert to float exactly and the products in `tensor` can be bounded.
 _INT64_MAX = 2**53
@@ -97,8 +89,7 @@ class PureState:
     `amps` is always present as a complex float array in storage order.  An
     exact state also holds Gaussian-integer numerators `num` (int64, or
     object ints for large values) over one denominator `den`: the amplitude
-    vector is (num[0] + i num[1]) / den.  `exact` gives the same amplitudes as
-    (Fraction, Fraction) pairs, built on first use.
+    vector is (num[0] + i num[1]) / den.
     Normalization is never required: everything computed from a state here is
     invariant under nonzero rescaling.
     """
@@ -136,14 +127,6 @@ class PureState:
     def is_exact(self) -> bool:
         return self.num is not None
 
-    @cached_property
-    def exact(self) -> Optional[tuple[ExactAmp, ...]]:
-        """The amplitudes as (Fraction, Fraction) pairs; None for float states."""
-        if self.num is None:
-            return None
-        re, im = self.num.tolist()
-        return tuple((Fraction(a, self.den), Fraction(b, self.den)) for a, b in zip(re, im))
-
     @classmethod
     def from_amplitudes(cls, amps: Sequence[complex]) -> "PureState":
         amps = np.asarray(amps, dtype=complex)
@@ -153,7 +136,7 @@ class PureState:
         return cls(n=n, amps=amps)
 
     @classmethod
-    def from_exact(cls, exact: Sequence[ExactAmp]) -> "PureState":
+    def from_exact(cls, exact: Sequence[tuple[Fraction, Fraction]]) -> "PureState":
         """An exact state from (Fraction, Fraction) pairs, rescaled to integers."""
         n = int(np.log2(len(exact)))
         if 1 << n != len(exact):
@@ -294,7 +277,10 @@ def state_to_json(psi: PureState) -> dict:
     if psi.is_exact:
         return {
             "n": psi.n,
-            "amplitudes_exact": [[str(re), str(im)] for re, im in psi.exact],
+            "amplitudes_exact": [
+                [str(Fraction(re, psi.den)), str(Fraction(im, psi.den))]
+                for re, im in zip(*psi.num.tolist())
+            ],
         }
     return {
         "n": psi.n,

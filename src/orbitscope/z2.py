@@ -10,13 +10,14 @@ vector; the support of v is the parity set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .orbit_matrix import exact_rank_kernel
 from .states import MultiIndex
 
 ENUMERATION_CAP = 24
@@ -137,27 +138,6 @@ def gf2_solve_ones(matrix: Z2Matrix) -> Optional[int]:
     return v
 
 
-def _exact_real_kernel_nontrivial(matrix: Z2Matrix) -> bool:
-    """Whether E = ((-1)^{L_jk}) has a nontrivial real kernel (exact rank)."""
-    m = matrix.ncols
-    # incremental row reduction over Q keeps at most m pivot rows around
-    pivot_rows: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
-    for mask in matrix.rows:
-        row = [Fraction(1 - 2 * ((mask >> j) & 1)) for j in range(m)]
-        for prow, pc in zip(pivot_rows, pivot_cols):
-            if row[pc] != 0:
-                factor = row[pc] / prow[pc]
-                row = [v - factor * p for v, p in zip(row, prow)]
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is not None:
-            pivot_rows.append(row)
-            pivot_cols.append(lead)
-            if len(pivot_cols) == m:
-                return False
-    return True
-
-
 def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
     """The lemma's witness: a GF(2) kernel vector of L, else a preimage of
     the all-ones vector.  Requires the +-1 matrix E to be singular.
@@ -165,7 +145,9 @@ def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
     Determinism: the kernel is tried first, and among kernel basis vectors
     the lexicographically smallest bit pattern (v_1, v_2, ...) wins.
     """
-    if not _exact_real_kernel_nontrivial(matrix):
+    # E = ((-1)^{L_jk}) and E^T E have the same rank over Q
+    e = 1 - 2 * np.array(matrix.bit_rows(), dtype=np.int64).reshape(-1, matrix.ncols)
+    if exact_rank_kernel(e.T @ e)[0] == matrix.ncols:
         raise NoWitnessError("the +-1 matrix E has trivial kernel")
     kernel = gf2_kernel_basis(matrix)
     if kernel:
@@ -192,10 +174,6 @@ def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
     )
 
 
-def _is_exact_vector(xi: Sequence) -> bool:
-    return all(isinstance(v, Rational) for v in xi)
-
-
 def zero_rows(
     xi: Sequence, tol: float = DEFAULT_ZERO_TOL
 ) -> list[tuple[int, ...]]:
@@ -209,19 +187,21 @@ def zero_rows(
         raise ValueError("xi must be nonempty and not all zero")
     if m > ENUMERATION_CAP:
         raise CapacityError(f"m={m} exceeds enumeration cap {ENUMERATION_CAP}")
-    if _is_exact_vector(xi):
-        sums: list = [0]
-        for v in xi:
-            v = Fraction(v)
-            sums = [s + v for s in sums] + [s - v for s in sums]
-        hits = [r for r, s in enumerate(sums) if s == 0]
+    if all(isinstance(v, Rational) for v in xi):
+        # scaled to integers; partial sums stay below sum |xi_i| in magnitude
+        pairs = [(int(v.numerator), int(v.denominator)) for v in xi]
+        scale = math.lcm(*(d for _, d in pairs))
+        values = [p * (scale // d) for p, d in pairs]
+        dtype = np.int64 if sum(map(abs, values)) < 2**63 else object
+        values = np.array(values, dtype=dtype)
+        bound = 0
     else:
-        sums = np.zeros(1)
-        for v in xi:
-            v = float(v)
-            sums = np.concatenate([sums + v, sums - v])
-        bound = tol * float(np.sum(np.abs(np.asarray(xi, dtype=float))))
-        hits = list(np.flatnonzero(np.abs(sums) <= bound))
+        values = np.array(xi, dtype=float)
+        bound = tol * float(np.sum(np.abs(values)))
+    sums = np.zeros(1, dtype=values.dtype)
+    for v in values:
+        sums = np.concatenate([sums + v, sums - v])
+    hits = np.flatnonzero(np.abs(sums) <= bound)
     # bit j-1 of the integer r is the sign bit r_j
     return [_mask_to_bits(int(r), m) for r in hits]
 

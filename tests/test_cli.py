@@ -88,17 +88,15 @@ class TestCapacity:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: n=12 exceeds capacity") and err.count("\n") == 1
 
-    def test_dump_counts_the_whole_matrix(self, capsys, monkeypatch, tmp_path):
-        # 4 MiB holds the state and row blocks at n = 12, not two copies of M
+    def test_dump_needs_only_the_row_blocks(self, capsys, monkeypatch, tmp_path):
+        # 4 MiB holds the state and row blocks at n = 12, not all of M: the
+        # dump streams M one row block at a time
         monkeypatch.setattr(cli, "physical_memory", lambda: 4 << 20)
-        assert run_cli(capsys, "analyze", "--state", "random:12:1")[0] == EXIT_OK
-        monkeypatch.setattr(cli, "factorize", lambda *args: pytest.fail("factorized a refused dump"))
         path = tmp_path / "m.csv"
         code, out, err = run_cli(capsys, "analyze", "--state", "random:12:1", "--dump-matrix", str(path))
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: n=12 exceeds capacity: the state and the whole matrix M")
-        assert err.count("\n") == 1
-        assert not path.exists()
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["rank"] == 37
+        assert len(path.read_text().splitlines()) == 8193
 
     def test_huge_qubit_counts_refused(self, no_state_builders):
         with pytest.raises(SpecParseError, match="exceeds capacity"):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,10 @@ from orbitscope.lie_action import (
     triple_columns,
     triple_columns_exact,
 )
+from orbitscope.orbit_matrix import build_matrix
 from orbitscope.states import (
     MultiIndex,
+    PureState,
     make_basis,
     make_singlet_product,
     sample_haar_state,
@@ -153,9 +157,34 @@ class TestTripleColumns:
             for exact, flt in zip(triple_columns_exact(psi, k), triple_columns(psi, k)):
                 assert np.array_equal(exact_to_complex(exact), flt)
 
+    def test_exact_matches_the_orbit_matrix(self):
+        # column 3(k-1) + j of den * M, real and imaginary rows, over den:
+        # an int64 state and an object-int one, both over a denominator
+        rng = np.random.default_rng(6)
+        for scale in (1, 11**20):
+            nums = rng.integers(-99, 100, size=(2, 8)).astype(object) * scale
+            psi = PureState.from_exact(
+                [(Fraction(int(a), 6), Fraction(int(b), 35)) for a, b in zip(*nums)]
+            )
+            assert psi.num.dtype == (np.int64 if scale == 1 else object) and psi.den == 210
+            m = build_matrix(psi).data.tolist()
+            for k in range(1, 4):
+                for j, column in enumerate(triple_columns_exact(psi, k)):
+                    c = 3 * (k - 1) + j
+                    assert column == tuple(
+                        (Fraction(re[c], psi.den), Fraction(im[c], psi.den))
+                        for re, im in zip(m[0::2], m[1::2])
+                    )
+
+    def test_exact_rejects_float_states(self):
+        with pytest.raises(ValueError, match="exact"):
+            triple_columns_exact(sample_haar_state(2, 0), 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             triple_columns(make_singlet_product(1), 3)
+        with pytest.raises(ValueError):
+            triple_columns_exact(make_singlet_product(1), 0)
 
 
 class TestApplyGroup:

@@ -33,13 +33,17 @@ from orbitscope.orbit_matrix import (
 from orbitscope.states import (
     MultiIndex,
     PureState,
-    flip_index,
     make_basis,
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
     sample_haar_state,
 )
+
+
+def exact_pairs(psi: PureState) -> tuple:
+    """The amplitudes of an exact state as (Fraction, Fraction) pairs."""
+    return tuple((Fraction(a, psi.den), Fraction(b, psi.den)) for a, b in zip(*psi.num.tolist()))
 
 
 def _build_from_equations(psi: PureState) -> np.ndarray:
@@ -53,17 +57,11 @@ def _build_from_equations(psi: PureState) -> np.ndarray:
     exact = psi.is_exact
     zero = Fraction(0) if exact else 0.0
     m = np.full((2 * dim, 3 * n + 1), zero, dtype=object if exact else float)
+    amps = exact_pairs(psi) if exact else [(c.real, c.imag) for c in psi.amps]
     for i in range(dim):
-        if exact:
-            a_i, b_i = psi.exact[i]
-        else:
-            a_i, b_i = psi.amps[i].real, psi.amps[i].imag
+        a_i, b_i = amps[i]
         for k in range(1, n + 1):
-            f = flip_index(i, n, k)
-            if exact:
-                a_f, b_f = psi.exact[f]
-            else:
-                a_f, b_f = psi.amps[f].real, psi.amps[f].imag
+            a_f, b_f = amps[i ^ (1 << (n - k))]  # the amplitude of I_k
             sign = 1 - 2 * ((i >> (n - k)) & 1)
             base = 3 * (k - 1)
             m[2 * i, base] = sign * -b_i  # t_k in Re equation
@@ -153,7 +151,7 @@ class TestBuildMatrix:
                 for a, b, c, d in zip(*nums, *dens)
             ]
             psi = PureState.from_exact(exact)
-            assert psi.exact == tuple(exact)
+            assert exact_pairs(psi) == tuple(exact)
             assert_exact_matrix_matches(psi)
             gram = build_matrix(psi).gram
             assert gram.dtype == (np.int64 if bits == 8 else object)
@@ -206,10 +204,14 @@ class TestBuildMatrix:
         )
         assert parts <= amp_parts
 
-    def test_labels(self):
-        m = build_matrix(make_singlet_product(1))
-        assert m.column_labels() == ["t1", "r1", "s1", "t2", "r2", "s2", "theta"]
-        assert m.row_labels()[:2] == ["00:re", "00:im"]
+    def test_labels(self, tmp_path):
+        path = tmp_path / "m.csv"
+        dump_csv(make_singlet_product(1), str(path))
+        header, *rows = path.read_text().splitlines()
+        assert header == "row,t1,r1,s1,t2,r2,s2,theta"
+        assert [row.split(",")[0] for row in rows] == [
+            f"{bits}:{part}" for bits in ("00", "01", "10", "11") for part in ("re", "im")
+        ]
 
 
 class TestRankFloat:
@@ -498,10 +500,30 @@ class TestMinOrbitBound:
 
 
 def test_csv_dump(tmp_path):
-    m = build_matrix(make_singlet_product(1))
     path = tmp_path / "m.csv"
-    dump_csv(m, str(path))
+    dump_csv(make_singlet_product(1), str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row,t1,r1,s1,t2,r2,s2,theta"
     assert len(lines) == 9
     assert lines[1].startswith("00:re,")
+
+
+def test_streamed_csv_dump_matches_the_whole_matrix(tmp_path):
+    # several row blocks each: a float state and an object-int state over a
+    # denominator, whose entries are written as the rationals they stand for
+    rng = np.random.default_rng(8)
+    nums = rng.integers(-(2**62), 2**62, size=(2, 1 << 10)).astype(object) * 2**8
+    exact = [(Fraction(int(a), 15), Fraction(int(b), 15)) for a, b in zip(*nums)]
+    for psi in (sample_haar_state(11, 1), PureState.from_exact(exact)):
+        assert (1 << psi.n) > BLOCK_AMPS
+        path = tmp_path / "m.csv"
+        dump_csv(psi, str(path))
+        m = build_matrix(psi)
+        if psi.is_exact:
+            assert m.data.dtype == object and m.den == 15
+            expected = [[str(Fraction(v, m.den)) for v in row] for row in m.data.tolist()]
+        else:
+            expected = [[str(v) for v in row] for row in m.data]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + m.shape[0]
+        assert [line.split(",")[1:] for line in lines[1:]] == expected

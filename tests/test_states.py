@@ -21,6 +21,11 @@ from orbitscope.states import (
     tensor,
 )
 
+def exact_pairs(psi):
+    """The amplitudes of an exact state as (Fraction, Fraction) pairs."""
+    return tuple((Fraction(a, psi.den), Fraction(b, psi.den)) for a, b in zip(*psi.num.tolist()))
+
+
 bits_strategy = st.lists(st.integers(0, 1), min_size=1, max_size=10).map(tuple)
 
 
@@ -171,7 +176,7 @@ class TestTensor:
 
     def test_singlet_squared(self):
         psi = tensor(make_singlet_product(1), make_singlet_product(1))
-        assert psi.exact == make_singlet_product(2).exact
+        assert exact_pairs(psi) == exact_pairs(make_singlet_product(2))
 
     def test_exact_matches_fraction_product(self):
         # numerators near 2**40 push the products past int64: Python-int fallback
@@ -190,7 +195,7 @@ class TestTensor:
             for a2, b2 in pairs[1]
         )
         assert psi.num.dtype == object
-        assert psi.exact == expected
+        assert exact_pairs(psi) == expected
         assert np.array_equal(psi.amps, [complex(float(a), float(b)) for a, b in expected])
 
     def test_norm_multiplicative(self):
@@ -238,13 +243,19 @@ class TestJsonFormat:
         psi = make_singlet_product(1)
         again = state_from_json(state_to_json(psi))
         assert again.is_exact
-        assert again.exact == psi.exact
+        assert exact_pairs(again) == exact_pairs(psi)
+
+    def test_exact_strings_are_the_rationals(self):
+        # object-int numerators over the common denominator 42
+        pairs = [(Fraction(2**70 + 1, 6), Fraction(-5, 7)), (Fraction(3, 14), Fraction(0))]
+        psi = PureState.from_exact(pairs)
+        assert psi.num.dtype == object and psi.den == 42
+        assert state_to_json(psi)["amplitudes_exact"] == [[str(a), str(b)] for a, b in pairs]
 
     def test_rational_strings(self):
         doc = {"n": 1, "amplitudes_exact": [["1/2", "0"], ["-1/3", "2"]]}
         psi = state_from_json(doc)
-        assert psi.exact[0] == (Fraction(1, 2), Fraction(0))
-        assert psi.exact[1] == (Fraction(-1, 3), Fraction(2))
+        assert exact_pairs(psi) == ((Fraction(1, 2), Fraction(0)), (Fraction(-1, 3), Fraction(2)))
 
     def test_decimal_strings_rejected(self):
         doc = {"n": 1, "amplitudes_exact": [["0.5", "0"], ["1", "0"]]}

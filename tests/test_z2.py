@@ -132,6 +132,24 @@ class TestSolveSignKernel:
         with pytest.raises(NoWitnessError):
             solve_sign_kernel(Z2Matrix.from_bit_rows([(0, 0), (0, 1)]))
 
+    def test_no_witness_iff_e_has_full_column_rank(self):
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for i in range(300):
+            m = int(rng.integers(1, 9))
+            bits = rng.integers(0, 2, size=(int(rng.integers(1, 41)), m))
+            if i % 3 == 0:  # equal or opposite columns of E make it singular
+                bits[:, -1] = bits[:, 0] ^ int(rng.integers(0, 2))
+            full = bool(np.linalg.matrix_rank(1 - 2 * bits) == m)
+            outcomes.add(full)
+            matrix = Z2Matrix.from_bit_rows(bits.tolist())
+            if full:
+                with pytest.raises(NoWitnessError):
+                    solve_sign_kernel(matrix)
+            else:
+                solve_sign_kernel(matrix)
+        assert outcomes == {True, False}
+
     def test_deterministic_lex_min(self):
         m = Z2Matrix(rows=(0,) * 3, ncols=3)  # kernel is everything
         w = solve_sign_kernel(m)
@@ -174,6 +192,16 @@ class TestZeroRows:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             zero_rows([1] * 25)
+
+    def test_exact_zero_test_has_no_tolerance(self):
+        # no sign sum of 2^60 and 2^60 + 1 is zero, but two are within the
+        # float tolerance of zero
+        assert zero_rows((2**60, -(2**60) - 1)) == []
+        assert len(zero_rows((float(2**60), float(-(2**60) - 1)))) == 2
+
+    def test_sums_beyond_int64(self):
+        for xi in ((2**70, 2**70), (2**62, 2**62, -(2**63)), (Fraction(2**62, 3), 2**62, 1)):
+            assert sorted(zero_rows(xi)) == sorted(brute_zero_rows(xi))
 
     def test_sign_bit_orientation(self):
         # bit j-1 of the mask is r_j: for xi=(1,-1) the row (0,0) is a zero row
