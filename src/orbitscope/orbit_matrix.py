@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import lapack_lite
 
 from .lie_action import (
     LocalAlgebraElement,
@@ -153,21 +153,29 @@ def _check_gram(g: np.ndarray, rtol: float) -> None:
         raise AssertionError("Gram matrix breaks the inner-product table")
 
 
-def _pivot_rank(r: np.ndarray, tol: float) -> int:
-    """Rank from a column-pivoted R: a pivot counts iff its magnitude exceeds
-    tol times the largest pivot magnitude."""
-    pivots = np.abs(np.diag(r))
-    if pivots.size == 0 or pivots[0] == 0:
-        return 0
-    return int(np.count_nonzero(pivots > tol * pivots[0]))
+def _sigma_rank(s: np.ndarray, tol: float) -> int:
+    """Rank from singular values in descending order: a value counts iff it
+    exceeds tol times the largest one."""
+    return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
 
 
 def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Rank via QR with column pivoting (see `_pivot_rank`)."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.any(a):
-        return 0
-    return _pivot_rank(scipy.linalg.qr(a, mode="r", pivoting=True)[0], tol)
+    """Rank via the singular values of a (see `_sigma_rank`)."""
+    return _sigma_rank(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def _qr_in_place(w: np.ndarray) -> None:
+    """LAPACK dgeqrf of the Fortran-ordered w, in place, by numpy's own
+    LAPACK: R on and above the diagonal, Householder vectors below.
+    lapack_lite takes the C-ordered view w.T and checks no size, so every
+    size is read off w."""
+    if not w.flags.f_contiguous:
+        raise ValueError("dgeqrf needs a Fortran-ordered workspace")
+    rows, cols = w.shape
+    tau, work = np.empty(cols), np.empty(cols)
+    info = lapack_lite.dgeqrf(rows, cols, w.T, rows, tau, work, cols, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
 
 
 def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
@@ -182,36 +190,22 @@ def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     [R; block] are zero below the diagonal of R, so W's top rows stay
     exactly triangular.  A block's rows are ordered (part, amplitude), not
     interleaved; a row permutation leaves R^T R unchanged.
-    One column-pivoted QR of R (of M itself, rows permuted, when M is one
-    block), R[:, perm] = Q R', then gives both answers.  Pivoting depends
-    only on R^T R, so in exact arithmetic it makes the decisions a pivoted
-    QR of M would.  The rank is the pivot count of R'; the kernel is spanned
-    by the trailing right singular vectors of the (3n+1)^2 factor R', which
-    are those of M[:, perm].  R'^T R' is the Gram matrix of M[:, perm], so
-    the inner-product table is checked on it without touching M again.
+    R has the singular values of M, so one SVD of R gives both answers: the
+    rank counts those above tol times the largest (`_sigma_rank`), and the
+    trailing right singular vectors, computed only when the rank falls
+    short, span the kernel.  R^T R is the Gram matrix of M, so the
+    inner-product table is checked on it without touching M again.
     """
     cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
-    top = cols if amps < 1 << n else 0  # rows of R above the block
-    w = np.zeros((top + 2 * amps, cols), order="F")
-    block = w.T[:, top:].reshape(cols, 2, amps)  # a view: W.T is C-ordered
+    w = np.zeros((cols + 2 * amps, cols), order="F")
+    block = w.T[:, cols:].reshape(cols, 2, amps)  # a view: W.T is C-ordered
     for lo in range(0, 1 << n, amps):
         fill(lo, lo + amps, block)
-        if top:
-            info = scipy.linalg.lapack.dgeqrf(w, overwrite_a=1)[3]
-            if info:
-                raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
-    # M is finite: PureState rejects non-finite amplitudes
-    r = w[:top] if top else w
-    r, perm = scipy.linalg.qr(r, overwrite_a=True, mode="r", pivoting=True, check_finite=False)
-    r = r[:cols]
-    g = np.empty((cols, cols))
-    g[np.ix_(perm, perm)] = r.T @ r
-    _check_gram(g, GRAM_RTOL)
-    rank = _pivot_rank(r, tol)
-    kernel = np.zeros((cols - rank, cols))
-    if rank < cols:
-        kernel[:, perm] = np.linalg.svd(r)[2][rank:]
-    return rank, kernel
+        _qr_in_place(w)
+    r = w[:cols]
+    _check_gram(r.T @ r, GRAM_RTOL)
+    rank = _sigma_rank(np.linalg.svd(r, compute_uv=False), tol)
+    return rank, np.linalg.svd(r)[2][rank:] if rank < cols else np.zeros((0, cols))
 
 
 def _gram(fill, n: int, maxabs: int) -> np.ndarray:
@@ -286,8 +280,9 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     factorization that consumes M block by block, after the Gram matrix is
     checked against the inner-product table.
 
-    Float state: TSQR and one pivoted QR, tol deciding the rank
-    (`_factorize_float`); the kernel is an orthonormal array of row vectors.
+    Float state: TSQR, then one SVD of the (3n+1)^2 factor R, tol deciding
+    the rank from its singular values (`_factorize_float`); the kernel is an
+    orthonormal array of row vectors.
     Exact state: the integer Gram matrix summed over the blocks (`_gram`)
     and eliminated with no tolerance (`_factorize_exact`); the kernel is a
     list of Fraction tuples.

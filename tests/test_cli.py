@@ -363,3 +363,28 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["orbit_dimension"] == 7
+
+
+def test_float_commands_run_without_scipy():
+    # the test session imports SciPy for its oracles, so the commands run in
+    # a fresh process: random:11 takes the multi-block fold; no command
+    # reaches lu_adjust, so its numerical_rank runs through triple_span_dim
+    script = """
+import contextlib, io, sys
+from orbitscope.cli import main
+from orbitscope.lu_adjust import triple_span_dim
+from orbitscope.states import make_singlet_product
+for argv in (
+    ["analyze", "--state", "random:3:1"],
+    ["analyze", "--state", "random:11:1"],
+    ["sweep", "--n", "4", "--samples", "3", "--seed", "1"],
+    ["verify", "--suite", "triples", "--n-max", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert triple_span_dim(make_singlet_product(2), [1, 2]) == 3
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -232,6 +232,21 @@ class TestRankFloat:
             float_m = build_matrix(PureState(n=psi.n, amps=psi.amps))
             assert rank_float(float_m) == rank_exact(exact_m)
 
+    def test_kahan_rank_follows_the_singular_values(self):
+        # the Kahan matrix K(60, c = 0.4) lies within 3.7e-12 sigma_1 of a
+        # rank-59 matrix; its column-pivoted QR keeps every pivot above
+        # 5.8e-3 times the first, so pivots would say 60
+        n, c = 60, 0.4
+        k = np.sqrt(1 - c * c) ** np.arange(n)[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        pivots = np.abs(np.diag(scipy.linalg.qr(k, mode="r", pivoting=True)[0]))
+        assert np.all(pivots > DEFAULT_TOL * pivots[0])
+        assert numerical_rank(k) == 59
+
+    def test_singular_values_across_the_tolerance(self):
+        rng = np.random.default_rng(11)
+        u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+        assert numerical_rank(u @ np.diag([1, 1e-9, 1e-11]) @ v.T) == 2
+
     def test_tolerance_plateau(self):
         for psi in exact_families(6):
             float_m = build_matrix(PureState(n=psi.n, amps=psi.amps))
@@ -339,38 +354,45 @@ class TestIsotropy:
                 assert np.abs(k.T @ k - ref.T @ ref).max() <= 1e-8
 
     def test_one_factorization_per_float_analysis(self, monkeypatch):
-        # one in-place dgeqrf per row block, all on the same F-ordered
-        # workspace, no stacked copies, then one pivoted QR (of M itself when
-        # M is one block, else of the (3n+1)^2 factor R) and one SVD of the
-        # (3n+1)^2 factor it leaves
+        # one in-place dgeqrf of numpy's LAPACK per row block, the one-block
+        # case included, all on the same F-ordered workspace, no QR copy or
+        # stacked copy, then one singular-value pass over the (3n+1)^2
+        # factor R and a full SVD of R only when there is a kernel
         calls = []
+        original_dgeqrf = np.linalg.lapack_lite.dgeqrf
 
-        def record(module, name):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda a, *args, **kw: calls.append((name, a)) or original(a, *args, **kw))
-
-        record(scipy.linalg, "qr")
-        record(scipy.linalg.lapack, "dgeqrf")
-        record(np.linalg, "svd")
-        record(np, "vstack")
-        rng = np.random.default_rng(3)
-        for k, blocks in ((3, 1), (6, 8)):
-            n, cols = 2 * k, 6 * k + 1
-            psi = apply_group(random_local_unitary(n, rng), make_singlet_product(k))
-            calls.clear()
-            assert len(isotropy_basis(psi)) == 3 * k
-            folds = [a for name, a in calls if name == "dgeqrf"]
-            assert len(folds) == (blocks if blocks > 1 else 0)
-            assert all(a is folds[0] for a in folds)
-            assert all(a.shape == (cols + 2 * BLOCK_AMPS, cols) and a.flags.f_contiguous for a in folds)
-            # the folds leave R exactly triangular, with no Householder
+        def dgeqrf(rows, cols, a, lda, *args):
+            result = original_dgeqrf(rows, cols, a, lda, *args)
+            w = a.base  # a is the C-ordered view W.T of the workspace W
+            # the fold leaves R exactly triangular, with no Householder
             # entries below its diagonal for the next fold to pick up
-            assert not any(np.tril(a[:cols], -1).any() for a in folds)
-            rest = [(name, a.shape) for name, a in calls if name != "dgeqrf"]
-            pivoted = (2 << n, cols) if blocks == 1 else (cols, cols)
-            assert rest == [("qr", pivoted), ("svd", (cols, cols))]
-            if blocks == 1:
-                assert calls[0][1].flags.f_contiguous
+            calls.append(("dgeqrf", w, (rows, cols, lda), not np.tril(w[:cols], -1).any()))
+            return result
+
+        def record(module, name, pick):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **kw: calls.append((name, pick(*a, **kw))) or original(*a, **kw))
+
+        monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", dgeqrf)
+        record(np.linalg, "svd", lambda a, *args, compute_uv=True, **kw: (a.shape, compute_uv))
+        record(np.linalg, "qr", lambda a, *args, **kw: a.shape)
+        record(np, "vstack", lambda arrays, *args, **kw: len(arrays))
+        rng = np.random.default_rng(3)
+        cases = [(apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)), 3 * k) for k in (3, 6)]
+        # a one-qubit state has a one-dimensional isotropy algebra
+        cases += [(sample_haar_state(n, 40 + n), int(n == 1)) for n in (1, 9, 10)]
+        for psi, nullity in cases:
+            n, cols = psi.n, 3 * psi.n + 1
+            amps = min(1 << n, BLOCK_AMPS)
+            calls.clear()
+            assert len(isotropy_basis(psi)) == nullity
+            folds = [call for call in calls if call[0] == "dgeqrf"]
+            assert len(folds) == (1 << n) // amps
+            w = folds[0][1]
+            assert w.shape == (cols + 2 * amps, cols) and w.flags.f_contiguous
+            assert all(call[1] is w and call[2] == (*w.shape, w.shape[0]) and call[3] for call in folds)
+            rest = [call for call in calls if call[0] != "dgeqrf"]
+            assert rest == [("svd", ((cols, cols), False))] + [("svd", ((cols, cols), True))] * (nullity > 0)
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
@@ -379,7 +401,8 @@ class TestIsotropy:
 
 
 def reference_factorization(psi, tol=DEFAULT_TOL):
-    """Rank and kernel projector from one pivoted QR of the whole float M."""
+    """Rank and kernel projector from one pivoted QR of the whole float M, a
+    test-only oracle (SciPy) for the singular-value rule of `factorize`."""
     a = build_matrix(psi).as_float()
     cols = a.shape[1]
     r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
@@ -395,7 +418,8 @@ class TestStreamedFactorization:
     def test_float_matches_a_qr_of_the_whole_matrix(self):
         # pivots tie (every column has norm |psi|), so rank and kernel span
         # are compared, not pivot order
-        states = [sample_haar_state(n, 500 + n) for n in range(10, 15)]
+        # n = 1 and 2 are single blocks with few rows (4 x 4 at n = 1)
+        states = [sample_haar_state(n, 500 + n) for n in (1, 2, *range(10, 15))]
         states += [psi for _, *copies in float_copies(10, seed=8) for psi in copies]
         for psi in states:
             rank, kernel = factorize(psi)
