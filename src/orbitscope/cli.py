@@ -377,12 +377,21 @@ def cmd_verify(args) -> int:
     if suite is None:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_USAGE
-    failures = []
+    # theorem and triples build states of every size up to --n-max (none below 1)
+    error = args.suite in ("theorem", "triples") and args.n_max > 0 and capacity_error(args.n_max)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    checks, failures = 0, []
     for name, ok in suite(args.n_max):
+        checks += 1
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name}")
         if not ok:
             failures.append(name)
+    if not checks:
+        print(f"error: suite {args.suite!r} runs no check at --n-max {args.n_max}", file=sys.stderr)
+        return EXIT_USAGE
     if failures:
         print(dumps({"suite": args.suite, "failures": failures}))
         return EXIT_VERIFY_FAIL

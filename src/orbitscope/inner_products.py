@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lie_action import triple_columns
+from .lie_action import SU2_BASIS, on_qubit
 from .states import PureState
 from .z2 import find_parity_set
 
@@ -56,7 +56,12 @@ class InnerProductKind:
 
 
 def table_inner_product(psi: PureState, kind: InnerProductKind) -> complex:
-    """Evaluate the closed-form sum for one table row."""
+    """Evaluate the closed-form sum for one table row.
+
+    The sums keep the paper's bit formulas, in (-1)^{i_k} and c_{I_k}, on
+    purpose: the direct side (`direct_inner_product`) applies the basis
+    matrices instead, so the two sides share no derivation.
+    """
     n = psi.n
     if not 1 <= kind.k <= n or (kind.j is not None and not 1 <= kind.j <= n):
         raise ValueError(f"slots out of range 1..{n}: {kind}")
@@ -108,8 +113,7 @@ def _column_vector(psi: PureState, label) -> np.ndarray:
     if label == "minus_i_psi":
         return -1j * psi.amps
     op, slot = label
-    vecs = dict(zip("ABC", triple_columns(psi, slot)))
-    return vecs[op]
+    return on_qubit(SU2_BASIS["ABC".index(op)], psi.amps, slot)
 
 
 def direct_inner_product(psi: PureState, left, right) -> complex:
@@ -218,7 +222,7 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
         slots = list(params["slots"])
         xi = list(params["xi"])
         residual_vec = sum(
-            float(x) * triple_columns(psi, j)[0] for x, j in zip(xi, slots)
+            float(x) * _column_vector(psi, ("A", j)) for x, j in zip(xi, slots)
         )
         residual = float(np.linalg.norm(residual_vec))
         scale = psi.norm() * sum(abs(float(x)) for x in xi)
@@ -242,14 +246,9 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
 
     if scenario == "two-common":
         l, lp = params["l"], params["lp"]
-        cols_l = triple_columns(psi, l)
-        cols_lp = triple_columns(psi, lp)
-        residual = float(
-            max(
-                np.linalg.norm(cols_l[0] - cols_lp[0]),
-                np.linalg.norm(cols_l[2] - cols_lp[2]),
-            )
-        )
+        a_and_c = SU2_BASIS[::2]
+        diff = on_qubit(a_and_c, psi.amps, l) - on_qubit(a_and_c, psi.amps, lp)
+        residual = float(max(map(np.linalg.norm, diff)))
         if residual > HYPOTHESIS_RTOL * psi.norm():
             raise HypothesisViolationError(
                 "A and C columns of the two slots do not coincide", residual

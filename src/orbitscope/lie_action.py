@@ -7,6 +7,10 @@ Basis convention for su(2), fixed once and used everywhere:
     C = [[0, i], [i, 0]]    (= i sigma_x)
 
 so X = t*A + r*B + s*C = [[i t, u], [-conj(u), -i t]] with u = r + i s.
+
+X = (X_1, ..., X_n) acts as sum_k X_k on the k-th tensor factor: the
+algebra action and the triple columns apply 2x2 matrices to qubit k with
+`on_qubit`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from .states import PureState
 A_MATRIX = np.array([[1j, 0], [0, -1j]])
 B_MATRIX = np.array([[0, 1], [-1, 0]], dtype=complex)
 C_MATRIX = np.array([[0, 1j], [1j, 0]])
+SU2_BASIS = np.stack([A_MATRIX, B_MATRIX, C_MATRIX])
+# SU2_BASIS = P + iQ as the stack (P, Q) of Python-int matrices
+_BASIS_PQ = np.stack([SU2_BASIS.real, SU2_BASIS.imag]).astype(int).astype(object)
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,10 @@ class SU2GroupElement:
 
     @classmethod
     def identity(cls) -> "SU2GroupElement":
-        return cls(np.eye(2, dtype=complex))
+        return _SU2_IDENTITY
+
+
+_SU2_IDENTITY = SU2GroupElement(np.eye(2, dtype=complex))  # validated once
 
 
 @dataclass(frozen=True)
@@ -136,67 +146,48 @@ def random_local_unitary(n: int, rng: np.random.Generator) -> LocalUnitary:
     return LocalUnitary(tuple(random_su2(rng) for _ in range(n)))
 
 
-def apply_algebra(x: LocalAlgebraElement, psi: PureState) -> np.ndarray:
-    """Amplitudes of X . |psi>, evaluated termwise on the coefficient array.
+def on_qubit(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
+    """A 2x2 matrix u, or a stack of them of shape (..., 2, 2), applied to
+    qubit k (1-based) of the amplitudes; the result has shape (..., 2^n).
 
-    Coefficient at I is  sum_k (-1)^{i_k} [ c_I i t_k + c_{I_k} conj^{i_k}(u_k) ]
-    with u_k = r_k + i s_k; cost O(n 2^n), no 2^n x 2^n operator is formed.
+    Qubit k is the middle axis of the (2^{k-1}, 2, 2^{n-k}) view of the
+    amplitudes, so the action is one matmul on that view.
     """
-    if x.n != psi.n:
-        raise ValueError(f"algebra element acts on {x.n} qubits, state has {psi.n}")
-    n = psi.n
-    c = psi.amps
-    idx = np.arange(1 << n)
-    out = np.zeros(1 << n, dtype=complex)
-    for k in range(1, n + 1):
-        ck = x.coords[k - 1]
-        t, r, s = float(ck.t), float(ck.r), float(ck.s)
-        if t == 0 and r == 0 and s == 0:
-            continue
-        ik = (idx >> (n - k)) & 1
-        sign = 1 - 2 * ik
-        u = r + 1j * s
-        u_or_conj = np.where(ik == 0, u, np.conj(u))
-        out += sign * (1j * t * c + u_or_conj * c[idx ^ (1 << (n - k))])
-    return out
-
-
-def _slot_signs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-1)^{i_k} and the storage index of I_k, for every storage index I."""
+    n = amps.size.bit_length() - 1
     if not 1 <= k <= n:
         raise ValueError(f"slot k={k} out of range 1..{n}")
-    idx = np.arange(1 << n)
-    return 1 - 2 * ((idx >> (n - k)) & 1), idx ^ (1 << (n - k))
+    view = amps.reshape(1 << (k - 1), 2, 1 << (n - k))
+    return np.matmul(u[..., None, :, :], view).reshape(u.shape[:-2] + (1 << n,))
 
 
-def triple_columns(
-    psi: PureState, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The complex column vectors A_k|psi>, B_k|psi>, C_k|psi> of the triple T_k."""
-    sign, flip = _slot_signs(psi.n, k)
-    c, flipped = psi.amps, psi.amps[flip]
-    return 1j * sign * c, sign * flipped, 1j * flipped
+def apply_algebra(x: LocalAlgebraElement, psi: PureState) -> np.ndarray:
+    """Amplitudes of X . |psi> = sum_k X_k|psi>, X_k acting on qubit k;
+    cost O(n 2^n), no 2^n x 2^n operator is formed."""
+    if x.n != psi.n:
+        raise ValueError(f"algebra element acts on {x.n} qubits, state has {psi.n}")
+    return sum(on_qubit(c.matrix(), psi.amps, k) for k, c in enumerate(x.coords, 1))
+
+
+def triple_columns(psi: PureState, k: int) -> np.ndarray:
+    """The complex column vectors A_k|psi>, B_k|psi>, C_k|psi> of the triple
+    T_k, as the rows of one 3 x 2^n array."""
+    return on_qubit(SU2_BASIS, psi.amps, k)
 
 
 def triple_columns_exact(psi: PureState, k: int) -> tuple[tuple, tuple, tuple]:
     """Exact-rational triple columns, as (re, im) Fraction pairs.
 
-    The columns are formed on the Gaussian-integer numerators (as Python
-    ints) and divided by the state's denominator only on return.
+    With the basis written P + iQ (integer P, Q), the columns are
+    (P re - Q im) + i (Q re + P im) on the Gaussian-integer numerators (as
+    Python ints), divided by the state's denominator only on return.
     """
-    sign, flip = _slot_signs(psi.n, k)
     if not psi.is_exact:
         raise ValueError("exact path requires an exact state")
     re, im = psi.num.astype(object)
-    re_f, im_f = re[flip], im[flip]  # c_{I_k}
-    columns = (
-        (-sign * im, sign * re),  # i * sign * c_I
-        (sign * re_f, sign * im_f),
-        (-im_f, re_f),  # i * c_{I_k}
-    )
+    (p_re, q_re), (p_im, q_im) = on_qubit(_BASIS_PQ, re, k), on_qubit(_BASIS_PQ, im, k)
     return tuple(
         tuple((Fraction(a, psi.den), Fraction(b, psi.den)) for a, b in zip(x.tolist(), y.tolist()))
-        for x, y in columns
+        for x, y in zip(p_re - q_im, q_re + p_im)
     )
 
 

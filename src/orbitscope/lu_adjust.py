@@ -16,17 +16,16 @@ import numpy as np
 from .inner_products import HypothesisViolationError
 from .lie_action import (
     A_MATRIX,
-    B_MATRIX,
-    C_MATRIX,
+    SU2_BASIS,
     LocalUnitary,
     SU2GroupElement,
     apply_group,
+    on_qubit,
     triple_columns,
 )
 from .orbit_matrix import numerical_rank, DEFAULT_TOL
 from .states import PureState
 
-SU2_BASIS = (A_MATRIX, B_MATRIX, C_MATRIX)
 INTERSECTION_TOL = 1e-8
 
 
@@ -53,9 +52,7 @@ class SO3Rotation:
 
     def apply_su2(self, x: np.ndarray) -> np.ndarray:
         """Image of a 2x2 su(2) matrix under the rotation of coordinates."""
-        coords = su2_coordinates(x)
-        out = self.matrix @ coords
-        return out[0] * A_MATRIX + out[1] * B_MATRIX + out[2] * C_MATRIX
+        return np.tensordot(self.matrix @ su2_coordinates(x), SU2_BASIS, 1)
 
 
 def su2_coordinates(x: np.ndarray) -> np.ndarray:
@@ -126,21 +123,14 @@ def su2_lift(rotation: SO3Rotation) -> SU2GroupElement:
     u = np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
     for basis, image in zip(SU2_BASIS, rotation.matrix.T):
         lifted = u.conj().T @ basis @ u
-        target = image[0] * A_MATRIX + image[1] * B_MATRIX + image[2] * C_MATRIX
-        if not np.allclose(lifted, target, atol=1e-10):
+        if not np.allclose(lifted, np.tensordot(image, SU2_BASIS, 1), atol=1e-10):
             raise RuntimeError("adjoint lift verification failed")
     return SU2GroupElement(u)
 
 
 def _real_triple_matrix(psi: PureState, k: int) -> np.ndarray:
     """2^{n+1} x 3 real matrix of the triple T_k's column identifications."""
-    cols = []
-    for vec in triple_columns(psi, k):
-        col = np.empty(2 * len(vec))
-        col[0::2] = vec.real
-        col[1::2] = vec.imag
-        cols.append(col)
-    return np.column_stack(cols)
+    return np.column_stack([vec.view(float) for vec in triple_columns(psi, k)])
 
 
 def triple_span_dim(psi: PureState, slots, tol: float = DEFAULT_TOL) -> int:
@@ -176,10 +166,10 @@ def adjust_dependency(
         xi_scaled.append(float(x) * norm)
 
     # hypothesis: sum xi_i phi_i = 0 with phi_i in <T_{j_i}>
-    phi_sum = np.zeros(1 << psi.n, dtype=complex)
-    for j, direction, x in zip(slots, directions, xi_scaled):
-        va, vb, vc = triple_columns(psi, j)
-        phi_sum += x * (direction[0] * va + direction[1] * vb + direction[2] * vc)
+    phi_sum = sum(
+        on_qubit(x * np.tensordot(direction, SU2_BASIS, 1), psi.amps, j)
+        for j, direction, x in zip(slots, directions, xi_scaled)
+    )
     scale = psi.norm() * max(1.0, sum(abs(x) for x in xi_scaled))
     residual = float(np.linalg.norm(phi_sum))
     if residual > 1e-10 * scale:
@@ -192,7 +182,7 @@ def adjust_dependency(
     psi_adj = apply_group(u, psi)
 
     post = sum(
-        x * triple_columns(psi_adj, j)[0] for j, x in zip(slots, xi_scaled)
+        x * on_qubit(A_MATRIX, psi_adj.amps, j) for j, x in zip(slots, xi_scaled)
     )
     post_residual = float(np.linalg.norm(post))
     if post_residual > 1e-10 * scale:
@@ -235,12 +225,9 @@ def adjust_two_common(
     u = LocalUnitary(tuple(factors))
     psi_adj = apply_group(u, psi)
 
-    cols_l = triple_columns(psi_adj, l)
-    cols_lp = triple_columns(psi_adj, lp)
-    residual = max(
-        float(np.linalg.norm(cols_l[0] - cols_lp[0])),
-        float(np.linalg.norm(cols_l[2] - cols_lp[2])),
-    )
+    a_and_c = SU2_BASIS[::2]
+    diff = on_qubit(a_and_c, psi_adj.amps, l) - on_qubit(a_and_c, psi_adj.amps, lp)
+    residual = float(max(map(np.linalg.norm, diff)))
     if residual > 1e-10 * norm:
         raise RuntimeError(
             f"adjusted common-column residual too large: {residual:.3e}"

@@ -89,6 +89,10 @@ def _build_real(re: np.ndarray, im: np.ndarray, n: int, lo: int, hi: int, out: n
     fills every third column at once, with stores contiguous along the
     amplitudes.  The flipped amplitudes c_{I_k} are gathered from the whole
     of re and im.
+
+    These are the same columns `lie_action.triple_columns` gets from the
+    basis matrices, kept as bit formulas on purpose: this is the streamed
+    hot path of M, and it writes any dtype in place, row block by row block.
     """
     idx = np.arange(lo, hi)
     bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index

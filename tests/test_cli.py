@@ -98,6 +98,20 @@ class TestCapacity:
         assert json.loads(out)["rank"] == 37
         assert len(path.read_text().splitlines()) == 8193
 
+    @pytest.mark.parametrize("suite", ["theorem", "triples"])
+    def test_verify_sizes_refused_before_allocation(self, capsys, monkeypatch, no_state_builders, suite):
+        monkeypatch.setattr(cli, "physical_memory", lambda: 1 << 20)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "12")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: n=12 exceeds capacity") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite, n_max", [("theorem", "0"), ("theorem", "1"), ("triples", "0"),
+                                              ("table1", "-3")])
+    def test_verify_without_a_check_refused(self, capsys, no_state_builders, suite, n_max):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", n_max)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: suite {suite!r} runs no check at --n-max {n_max}\n"
+
     def test_huge_qubit_counts_refused(self, no_state_builders):
         with pytest.raises(SpecParseError, match="exceeds capacity"):
             parse_state_spec("random:" + "9" * 40 + ":1")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitscope.inner_products import direct_inner_product
 from orbitscope.lie_action import (
     A_MATRIX,
     B_MATRIX,
@@ -25,7 +26,9 @@ from orbitscope.states import (
     MultiIndex,
     PureState,
     make_basis,
+    make_cat,
     make_singlet_product,
+    make_singlet_product_plus_zero,
     sample_haar_state,
 )
 
@@ -110,12 +113,19 @@ class TestApplyAlgebra:
         rhs = alpha * apply_algebra(x, psi) + beta * apply_algebra(y, psi)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_kron_oracle(self, n):
+    @pytest.mark.parametrize(
+        "n, zero_slots",
+        [pytest.param(n, (), id=str(n)) for n in range(1, 9)]
+        + [pytest.param(n, slots, id=f"{n}-zero{''.join(map(str, slots))}")
+           for n, slots in [(1, (1,)), (3, (2,)), (5, (1, 3, 5)), (8, (1, 2, 7, 8))]],
+    )
+    def test_matches_kron_oracle(self, n, zero_slots):
         rng = np.random.default_rng(n)
         psi = sample_haar_state(n, 100 + n)
         for _ in range(5):
-            x = LocalAlgebraElement.from_triples(rng.standard_normal((n, 3)))
+            triples = rng.standard_normal((n, 3))
+            triples[[k - 1 for k in zero_slots]] = 0
+            x = LocalAlgebraElement.from_triples(triples)
             assert np.allclose(apply_algebra(x, psi), kron_action_oracle(x, psi), atol=1e-12)
 
 
@@ -150,6 +160,29 @@ class TestTripleColumns:
             ]:
                 x = LocalAlgebraElement.single_slot(3, k, **coords)
                 assert np.max(np.abs(apply_algebra(x, psi) - vec)) <= 1e-14
+
+    def test_float_matches_the_orbit_matrix_bitwise(self):
+        # triple T_k is columns 3k-3 .. 3k-1 of M and -i psi its last column,
+        # each complexified from its interleaved real and imaginary rows
+        rng = np.random.default_rng(12)
+        rotated = [
+            apply_group(random_local_unitary(psi.n, rng), psi)
+            for psi in [make_singlet_product(1), make_singlet_product(3), make_singlet_product_plus_zero(2),
+                        make_cat(3), make_cat(5), make_basis(MultiIndex((0, 1, 1, 0)))]
+        ]
+        haar = [sample_haar_state(n, 40 + n) for n in range(1, 11)]
+        for psi in haar + rotated:
+            columns = np.ascontiguousarray(build_matrix(psi).data.T).view(complex)
+            for k in range(1, psi.n + 1):
+                assert triple_columns(psi, k).tobytes() == columns[3 * k - 3 : 3 * k].tobytes()
+            if psi.n <= 4:
+                vectors = {"identity": psi.amps, "minus_i_psi": columns[3 * psi.n]}
+                vectors.update(
+                    ((op, k), columns[3 * k - 3 + j]) for k in range(1, psi.n + 1) for j, op in enumerate("ABC")
+                )
+                for left, u in vectors.items():
+                    for right, v in vectors.items():
+                        assert direct_inner_product(psi, left, right) == np.vdot(u, v)
 
     def test_exact_matches_float(self):
         psi = make_singlet_product(2)
@@ -207,6 +240,11 @@ class TestApplyGroup:
         psi = make_basis(MultiIndex((0, 0)))
         out = apply_group(u, psi)
         assert np.allclose(out.amps, np.exp(1j * t) * psi.amps)
+
+    def test_identity_factor_is_one_read_only_instance(self):
+        u = SU2GroupElement.identity()
+        assert u is SU2GroupElement.identity() and not u.matrix.flags.writeable
+        assert np.array_equal(u.matrix, np.eye(2))
 
     def test_su2_exp_special_unitary(self):
         u = su2_exp(Su2Coordinates(0.3, -1.2, 0.8))
