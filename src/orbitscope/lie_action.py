@@ -192,12 +192,12 @@ def triple_columns_exact(psi: PureState, k: int) -> tuple[tuple, tuple, tuple]:
 
 
 def apply_group(u: LocalUnitary, psi: PureState) -> PureState:
-    """The state (g_1 x ... x g_n)|psi>, applied one tensor factor at a time."""
+    """The state (g_1 x ... x g_n)|psi>, applied one tensor factor at a time
+    with `on_qubit`; the shared identity factor is skipped."""
     if u.n != psi.n:
         raise ValueError(f"unitary acts on {u.n} qubits, state has {psi.n}")
-    n = psi.n
-    tensor = psi.amps.reshape((2,) * n)
-    for k in range(n):
-        tensor = np.tensordot(u.factors[k].matrix, tensor, axes=([1], [k]))
-        tensor = np.moveaxis(tensor, 0, k)
-    return PureState(n=n, amps=tensor.reshape(1 << n))
+    amps = psi.amps
+    for k, g in enumerate(u.factors, 1):
+        if g is not _SU2_IDENTITY:
+            amps = on_qubit(g.matrix, amps, k)
+    return PureState(n=psi.n, amps=amps)

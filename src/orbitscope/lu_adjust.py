@@ -121,10 +121,11 @@ def su2_lift(rotation: SO3Rotation) -> SU2GroupElement:
         comps = -comps
     w, x, y, z = comps
     u = np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
-    for basis, image in zip(SU2_BASIS, rotation.matrix.T):
-        lifted = u.conj().T @ basis @ u
-        if not np.allclose(lifted, np.tensordot(image, SU2_BASIS, 1), atol=1e-10):
-            raise RuntimeError("adjoint lift verification failed")
+    # U^dag (A, B, C) U against the rotated basis, all three at once:
+    # image m is sum_i R[i, m] (A, B, C)_i
+    lifted = u.conj().T @ SU2_BASIS @ u
+    if not np.allclose(lifted, np.tensordot(rotation.matrix.T, SU2_BASIS, 1), atol=1e-10):
+        raise RuntimeError("adjoint lift verification failed")
     return SU2GroupElement(u)
 
 

@@ -17,6 +17,15 @@ from orbitscope.inner_products import (
     table_inner_product,
     table_kind_as_labels,
 )
+from orbitscope.lie_action import (
+    LocalUnitary,
+    SU2GroupElement,
+    apply_group,
+    random_local_unitary,
+    triple_columns,
+)
+from orbitscope.lu_adjust import adjust_dependency, adjust_two_common
+from orbitscope.orbit_matrix import build_matrix
 from orbitscope.states import (
     MultiIndex,
     PureState,
@@ -26,6 +35,14 @@ from orbitscope.states import (
     make_singlet_product_plus_zero,
     sample_haar_state,
 )
+
+
+def lu_rotated_singlets(k, seed):
+    """singlet*k with random local unitaries on every slot but 1 and 2."""
+    rng = np.random.default_rng(seed)
+    factors = list(random_local_unitary(2 * k, rng).factors)
+    factors[0] = factors[1] = SU2GroupElement.identity()
+    return apply_group(LocalUnitary(tuple(factors)), make_singlet_product(k))
 
 
 def all_kind_instances(n):
@@ -114,6 +131,87 @@ class TestTableAgainstDirect:
                 assert abs(ab - np.conj(ba)) <= 1e-12 * psi.norm() ** 2
 
 
+class TestTableAgainstMatrix:
+    """Re of every table row is an entry of M^T M: column 3(k-1) + (0, 1, 2)
+    of M is A_k, B_k, C_k and column 3n is -i|psi>, so a pair row XY(j, k)
+    is G[X_j, Y_k] and a single row X(k), <psi|X_k psi>, is G[-i psi, X_k]
+    after the factor conj(-i) = i."""
+
+    @pytest.mark.parametrize(
+        "psi",
+        [sample_haar_state(n, 1300 + n) for n in range(1, 6)]
+        + [lu_rotated_singlets(k, 40 + k) for k in (1, 2)]
+        + [apply_group(random_local_unitary(5, np.random.default_rng(47)), make_cat(5))],
+    )
+    def test_real_part_is_gram_entry(self, psi):
+        n = psi.n
+        m = build_matrix(psi).data
+        gram = m.T @ m
+        col = {op: 3 * np.arange(n) + i for i, op in enumerate("ABC")}
+        tol = 1e-12 * psi.norm() ** 2
+        for kind in all_kind_instances(n):
+            value = table_inner_product(psi, kind)
+            if kind.tag in SINGLE_KINDS:
+                expected = gram[3 * n, col[kind.tag][kind.k - 1]]
+                value = 1j * value
+            else:
+                expected = gram[col[kind.tag[0]][kind.j - 1], col[kind.tag[1]][kind.k - 1]]
+            assert abs(value.real - expected) <= tol, kind
+
+
+class TestNoAnswerMemo:
+    def test_alternating_states_of_one_size(self):
+        # two states with the same n, called in turn: each answer is its own
+        # state's, so nothing is remembered across states
+        psi, phi = sample_haar_state(4, 11), sample_haar_state(4, 12)
+        for kind in all_kind_instances(4):
+            for state in (psi, phi, psi, phi):
+                expected = direct_inner_product(state, *table_kind_as_labels(kind))
+                assert abs(table_inner_product(state, kind) - expected) <= 1e-12 * state.norm() ** 2
+        # the two states do give different rows, so the check above has teeth
+        kind = InnerProductKind("BB", 2, 1)
+        assert abs(table_inner_product(psi, kind) - table_inner_product(phi, kind)) > 1e-3
+
+
+def vdot_oracle(psi, name):
+    """Column of a check's label ("-i|psi>" or op + slot) from the basis matrices."""
+    if name == "-i|psi>":
+        return -1j * psi.amps
+    return triple_columns(psi, int(name[1:]))["ABC".index(name[0])]
+
+
+def scenario_reports():
+    """(state, report) for each scenario on plain and LU-dressed states."""
+    dressed = lu_rotated_singlets(3, 5)
+    _, dep = adjust_dependency(dressed, [1, 2], [(0.0, 1.0, 0.0)] * 2, [1.0, 1.0])
+    _, two = adjust_two_common(dressed, 1, 2)
+    cases = [
+        (sample_haar_state(3, 17), "triple", {"k": 2}),
+        (make_singlet_product(2), "main", {"slots": [3, 4], "xi": [1.0, 1.0]}),
+        (dep, "main", {"slots": [1, 2], "xi": [1.0, 1.0]}),
+        (make_cat(2), "two-common", {"l": 1, "lp": 2}),
+        (two, "two-common", {"l": 1, "lp": 2}),
+    ]
+    return [(psi, orthogonality_report(psi, scenario, **params)) for psi, scenario, params in cases]
+
+
+class TestReportValues:
+    def test_values_match_per_pair_vdot(self):
+        for psi, report in scenario_reports():
+            tol = 1e-12 * psi.norm() ** 2
+            assert report.checks
+            for check in report.checks:
+                left, right = check.pair.split(".")
+                value = np.vdot(vdot_oracle(psi, left), vdot_oracle(psi, right))
+                assert abs(check.value_re - value.real) <= tol, (report.scenario, check.pair)
+                assert abs(check.value_im - value.imag) <= tol, (report.scenario, check.pair)
+
+    def test_passed_is_a_python_bool(self):
+        for _, report in scenario_reports():
+            assert report.all_pass
+            assert all(type(check.passed) is bool for check in report.checks)
+
+
 class TestRealDot:
     def test_matches_real_part(self):
         rng = np.random.default_rng(5)
@@ -139,10 +237,16 @@ class TestTripleScenario:
                 assert len(report.checks) == 3
 
     def test_json_round_trip(self):
-        report = orthogonality_report(make_cat(3), "triple", k=2)
-        payload = json.loads(report.to_json())
-        assert payload["scenario"] == "triple"
-        assert all(c["pass"] for c in payload["checks"])
+        # every scenario, so a numpy scalar in any field fails json.dumps
+        for _, report in scenario_reports():
+            payload = json.loads(report.to_json())
+            assert payload["scenario"] == report.scenario
+            assert payload["hypothesis_residual"] == report.hypothesis_residual
+            assert payload["checks"] == [
+                {"pair": c.pair, "value_re": c.value_re, "value_im": c.value_im, "pass": c.passed}
+                for c in report.checks
+            ]
+            assert all(c["pass"] for c in payload["checks"])
 
 
 class TestMainScenario:

@@ -241,6 +241,20 @@ class TestApplyGroup:
         out = apply_group(u, psi)
         assert np.allclose(out.amps, np.exp(1j * t) * psi.amps)
 
+    def test_matches_kron_of_factors(self):
+        # the factors applied slot by slot (identity slots skipped) against
+        # the full 2^n x 2^n operator g_1 x ... x g_n
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            psi = sample_haar_state(n, 60 + n)
+            factors = list(random_local_unitary(n, rng).factors)
+            factors[rng.integers(n)] = SU2GroupElement.identity()
+            op = np.ones((1, 1))
+            for g in factors:
+                op = np.kron(op, g.matrix)
+            out = apply_group(LocalUnitary(tuple(factors)), psi)
+            assert np.allclose(out.amps, op @ psi.amps, rtol=0, atol=1e-12 * psi.norm())
+
     def test_identity_factor_is_one_read_only_instance(self):
         u = SU2GroupElement.identity()
         assert u is SU2GroupElement.identity() and not u.matrix.flags.writeable
