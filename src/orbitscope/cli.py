@@ -1,6 +1,8 @@
 """Command-line front end: analyze states, sweep random families, and run
 the verification suites.  All output is machine-readable; exit codes are
-0 = success, 1 = verification failure, 2 = usage or input error.
+0 = success, 1 = verification failure, 2 = usage or input error.  Every
+usage or input error is raised as a `UsageError` and reported by `main`
+alone, as one `error: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .orbit_matrix import (
 from .states import (
     MultiIndex,
     PureState,
-    ZeroStateError,
     load_state,
     make_basis,
     make_cat,
@@ -59,25 +60,38 @@ STATE_BYTES_PER_AMP = 80
 BLOCK_BUFFERS = 8
 
 
-class SpecParseError(ValueError):
+class UsageError(ValueError):
+    """Input the command line refuses; `main` reports it and exits 2."""
+
+
+class SpecParseError(UsageError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are `UsageError`s, so that `main`
+    reports them like every other input error (argparse's own `error`
+    prints a usage block and exits)."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def capacity_error(n: int) -> str | None:
-    """Why an n-qubit state cannot be analyzed here, or None when the state
-    and the float64 row blocks of M fit in physical memory."""
+def check_capacity(n: int) -> None:
+    """Raise a UsageError unless an n-qubit state and the float64 row blocks
+    of M fit in physical memory."""
     memory = physical_memory()
     # 2**n bytes alone exceed memory from n = memory.bit_length() on;
     # testing that first keeps a huge n from making a huge integer
     if n < memory.bit_length():
         need = (STATE_BYTES_PER_AMP << n) + BLOCK_BUFFERS * 2 * BLOCK_AMPS * (3 * n + 1) * 8
         if need <= memory:
-            return None
-    return (
+            return
+    raise UsageError(
         f"n={n} exceeds capacity: the state and the row blocks of M would not fit "
         f"in the {memory / 2**30:.1f} GiB of physical memory"
     )
@@ -108,9 +122,8 @@ def parse_state_spec(spec: str) -> PureState:
         match = pattern.match(spec)
         if match:
             try:
-                error = qubits and capacity_error(qubits(match))
-                if error:
-                    raise ValueError(error)
+                if qubits:
+                    check_capacity(qubits(match))
                 return builder(match)
             except (ValueError, OverflowError, OSError) as exc:
                 raise SpecParseError(f"bad state spec {spec!r}: {exc}") from exc
@@ -149,7 +162,7 @@ def parse_tolerance(text: str, source: str = "--tol") -> float:
     except ValueError:
         tol = math.nan
     if not 0 <= tol < 1:
-        raise ValueError(f"{source} must be a number with 0 <= tol < 1, got {text!r}")
+        raise UsageError(f"{source} must be a number with 0 <= tol < 1, got {text!r}")
     return tol
 
 
@@ -196,11 +209,14 @@ def analyze_state(
     dump_matrix: str | None = None,
 ) -> AnalysisReport:
     if force_exact and not psi.is_exact:
-        raise ValueError("--exact requires a state with exact amplitudes")
+        raise UsageError("--exact requires a state with exact amplitudes")
     rank, kernel = factorize(psi, tol)
     rank_path = "exact" if psi.is_exact else "float"
     if dump_matrix:
-        dump_csv(psi, dump_matrix)
+        try:
+            dump_csv(psi, dump_matrix)
+        except OSError as exc:
+            raise UsageError(f"cannot write --dump-matrix {dump_matrix!r}: {exc.strerror or exc}") from exc
     basis_out = []
     for vec in kernel:
         floats = [float(v) for v in vec]
@@ -222,32 +238,18 @@ def analyze_state(
 
 
 def cmd_analyze(args) -> int:
-    try:
-        psi = parse_state_spec(args.state)
-        report = analyze_state(
-            psi, args.tol, force_exact=args.exact, dump_matrix=args.dump_matrix
-        )
-    except (SpecParseError, ZeroStateError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    psi = parse_state_spec(args.state)
+    report = analyze_state(psi, args.tol, force_exact=args.exact, dump_matrix=args.dump_matrix)
     print(dumps(report.to_dict()))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    if args.family != "random":
-        print(f"error: unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_USAGE
     if args.n < 1 or args.samples < 1:
-        print("error: need n >= 1 and samples >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    error = capacity_error(args.n)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("need n >= 1 and samples >= 1")
+    check_capacity(args.n)
     if args.seed < 0:
-        print("error: need seed >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("need seed >= 0")
     bound = min_orbit_bound(args.n)
     dims = []
     for i in range(args.samples):
@@ -373,25 +375,18 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    suite = _SUITES.get(args.suite)
-    if suite is None:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
     # theorem and triples build states of every size up to --n-max (none below 1)
-    error = args.suite in ("theorem", "triples") and args.n_max > 0 and capacity_error(args.n_max)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.suite in ("theorem", "triples") and args.n_max > 0:
+        check_capacity(args.n_max)
     checks, failures = 0, []
-    for name, ok in suite(args.n_max):
+    for name, ok in _SUITES[args.suite](args.n_max):
         checks += 1
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name}")
         if not ok:
             failures.append(name)
     if not checks:
-        print(f"error: suite {args.suite!r} runs no check at --n-max {args.n_max}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"suite {args.suite!r} runs no check at --n-max {args.n_max}")
     if failures:
         print(dumps({"suite": args.suite, "failures": failures}))
         return EXIT_VERIFY_FAIL
@@ -402,7 +397,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
     unchanged, and the tolerance default is read per call in `main`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitscope",
         description="Local-unitary orbit dimensions for n-qubit pure states",
     )
@@ -415,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--dump-matrix", default=None, metavar="PATH")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_sweep = sub.add_parser("sweep", help="sweep a state family")
-    p_sweep.add_argument("--family", default="random")
+    p_sweep = sub.add_parser("sweep", help="sweep Haar-random states")
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--samples", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
@@ -431,18 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; a UsageError from any stage is reported here, as the
+    one `error:` line on stderr, and exits 2.  `--help` exits 0 through
+    argparse's SystemExit."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if hasattr(args, "tol"):  # verify has no tolerance
-        try:
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "tol"):  # verify has no tolerance
             args.tol = default_tolerance() if args.tol is None else parse_tolerance(args.tol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    return args.func(args)
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -220,6 +220,18 @@ def _run_checks(psi, pairs, tol_abs) -> tuple[OrthogonalityCheck, ...]:
     return tuple(checks)
 
 
+def _off_k_pairs(n: int, big_k: frozenset, ops: str) -> list:
+    """The label pairs a scenario checks, in report order: for each slot k
+    in K and each op in `ops`, op_k against -i|psi>, then against the
+    A, B and C columns of every slot outside K."""
+    pairs = []
+    for k in sorted(big_k):
+        for op in ops:
+            pairs.append(((op, k), "minus_i_psi"))
+            pairs += [((op, k), (op_j, j)) for j in range(1, n + 1) if j not in big_k for op_j in "ABC"]
+    return pairs
+
+
 def orthogonality_report(psi: PureState, scenario: str, **params) -> OrthogonalityReport:
     """Executable checks for the orthogonality propositions.
 
@@ -253,16 +265,7 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
             )
         witness = find_parity_set(xi)
         big_k = frozenset(slots[i - 1] for i in witness.parity_set)
-        pairs = []
-        for k in sorted(big_k):
-            for op in "BC":
-                pairs.append(((op, k), "minus_i_psi"))
-                for j in range(1, psi.n + 1):
-                    if j in big_k:
-                        continue
-                    for op_j in "ABC":
-                        pairs.append(((op, k), (op_j, j)))
-        checks = _run_checks(psi, pairs, tol_abs)
+        checks = _run_checks(psi, _off_k_pairs(psi.n, big_k, "BC"), tol_abs)
         return OrthogonalityReport("main", residual, checks, parity_slots=big_k)
 
     if scenario == "two-common":
@@ -275,16 +278,7 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
                 "A and C columns of the two slots do not coincide", residual
             )
         big_k = frozenset((l, lp))
-        pairs = []
-        for k in sorted(big_k):
-            for op in "ABC":
-                pairs.append(((op, k), "minus_i_psi"))
-                for j in range(1, psi.n + 1):
-                    if j in big_k:
-                        continue
-                    for op_j in "ABC":
-                        pairs.append(((op, k), (op_j, j)))
-        checks = _run_checks(psi, pairs, tol_abs)
+        checks = _run_checks(psi, _off_k_pairs(psi.n, big_k, "ABC"), tol_abs)
         return OrthogonalityReport("two-common", residual, checks, parity_slots=big_k)
 
     raise ValueError(f"unknown scenario {scenario!r}")

@@ -19,9 +19,11 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .lie_action import (
+    _BASIS_PQ,
     LocalAlgebraElement,
     Su2Coordinates,
     apply_algebra,
+    on_qubit,
 )
 from .states import PureState, ratio_to_float
 
@@ -339,6 +341,32 @@ def isotropy_basis(
     return [_unpack_kernel_vector(v, psi.n) for v in kernel]
 
 
+def _is_exact_isotropy(psi: PureState, elem: IsotropyElement) -> bool:
+    """X.psi == i theta psi exactly, for an exact state and rational X, theta.
+
+    Scaled by den and by the lcm L of the coordinates' denominators, the
+    residual is sum_k X'_k (re + i im) - i theta' (re + i im) on the
+    Gaussian-integer numerators, with integer X'_k = L X_k = P_k + i Q_k
+    summed from the basis matrices' (P, Q) and applied with `on_qubit`:
+    (P + iQ)(re + i im) = (P re - Q im) + i (Q re + P im).  Python ints
+    throughout, and no M is built.
+    """
+    coeffs = [c for co in elem.x.coords for c in (co.t, co.r, co.s)]
+    scale = math.lcm(*(c.denominator for c in coeffs), elem.theta.denominator)
+    ints = [int(c * scale) for c in coeffs]
+    theta = int(elem.theta * scale)
+    re, im = psi.num.astype(object)
+    res_re, res_im = theta * im, -theta * re
+    for k in range(1, psi.n + 1):
+        w = ints[3 * k - 3 : 3 * k]
+        if any(w):
+            pq = sum(c * basis for c, basis in zip(w, _BASIS_PQ.transpose(1, 0, 2, 3)))
+            (p_re, q_re), (p_im, q_im) = on_qubit(pq, re, k), on_qubit(pq, im, k)
+            res_re = res_re + p_re - q_im
+            res_im = res_im + q_re + p_im
+    return not (res_re.any() or res_im.any())
+
+
 def verify_isotropy(
     psi: PureState, elem: IsotropyElement, tol: float = DEFAULT_TOL
 ) -> bool:
@@ -346,9 +374,7 @@ def verify_isotropy(
     if elem.x.n != psi.n:
         raise ValueError("algebra element and state act on different qubit counts")
     if psi.is_exact and elem.x.is_exact and isinstance(elem.theta, Fraction):
-        # M v is X.psi - i theta psi, realified and scaled by den
-        v = [c for co in elem.x.coords for c in (co.t, co.r, co.s)] + [elem.theta]
-        return not any(build_matrix(psi).data.astype(object) @ np.array(v, dtype=object))
+        return _is_exact_isotropy(psi, elem)
     residual = apply_algebra(elem.x, psi) - 1j * float(elem.theta) * psi.amps
     return bool(np.linalg.norm(residual) <= tol * psi.norm())
 

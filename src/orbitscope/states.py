@@ -75,6 +75,24 @@ def multi_index_double_complement(index: MultiIndex, k: int, l: int) -> MultiInd
 _INT64_MAX = 2**53
 
 
+def _exact_numerators(num) -> np.ndarray:
+    """Integer numerators in their storage dtype: int64 when every |v| <
+    2**53, object Python ints otherwise.  Float, complex and bool arrays, and
+    object arrays holding anything but integers, are refused."""
+    num = np.asarray(num)
+    if num.dtype.kind in "iu":
+        if num.size and -_INT64_MAX < num.min() and num.max() < _INT64_MAX:
+            return num.astype(np.int64, copy=False)
+        return num.astype(object)
+    values = num.ravel().tolist() if num.dtype == object else None
+    # bool is a subclass of int, but not of this type test
+    if values is None or not all(t is int or issubclass(t, np.integer) for t in set(map(type, values))):
+        raise ValueError(f"exact numerators must be integers, got dtype {num.dtype}")
+    values = list(map(int, values))
+    small = max(map(abs, values), default=0) < _INT64_MAX
+    return np.array(values, dtype=np.int64 if small else object).reshape(num.shape)
+
+
 def ratio_to_float(num: np.ndarray, den: int) -> np.ndarray:
     """num / den as correctly rounded floats, for int64 or object-int `num`."""
     if num.dtype == object or den >= _INT64_MAX:
@@ -87,9 +105,12 @@ class PureState:
     """An unnormalized n-qubit state vector.
 
     `amps` is always present as a complex float array in storage order.  An
-    exact state also holds Gaussian-integer numerators `num` (int64, or
-    object ints for large values) over one denominator `den`: the amplitude
-    vector is (num[0] + i num[1]) / den.
+    exact state also holds Gaussian-integer numerators `num` over one
+    denominator `den`, an int >= 1: the amplitude vector is
+    (num[0] + i num[1]) / den.  The numerators are stored as int64 when
+    every one is below 2**53 in magnitude and as object Python ints
+    otherwise, whatever integer dtype they came in; any other dtype is
+    refused.  A float state's amplitudes and its squared norm must be finite.
     Normalization is never required: everything computed from a state here is
     invariant under nonzero rescaling.
     """
@@ -104,20 +125,24 @@ class PureState:
             raise ValueError("need at least one qubit")
         dim = 1 << self.n
         if self.num is not None:
-            if self.num.shape != (2, dim):
+            if isinstance(self.den, bool) or not isinstance(self.den, (int, np.integer)) or self.den < 1:
+                raise ValueError(f"the denominator must be an int >= 1, got {self.den!r}")
+            num = _exact_numerators(self.num)
+            if num.shape != (2, dim):
                 raise ValueError("exact amplitude count mismatch")
-            if not np.any(self.num):
+            if not np.any(num):
                 raise ZeroStateError("zero vector is not a state")
-            self.num.setflags(write=False)
-            amps = ratio_to_float(self.num[0], self.den) + 1j * ratio_to_float(
-                self.num[1], self.den
-            )
+            num.setflags(write=False)
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", int(self.den))
+            amps = ratio_to_float(num[0], self.den) + 1j * ratio_to_float(num[1], self.den)
         else:
             amps = np.asarray(self.amps, dtype=complex)
             if amps.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-            if not np.all(np.isfinite(amps)):
-                raise ValueError("amplitudes must be finite")
+            # NaN or inf in any amplitude makes the sum NaN or inf too
+            if not np.isfinite(np.vdot(amps, amps).real):
+                raise ValueError("amplitudes and their squared norm must be finite")
             if not np.any(amps):
                 raise ZeroStateError("zero vector is not a state")
         amps.setflags(write=False)
@@ -146,8 +171,6 @@ class PureState:
         den = math.lcm(*(v.denominator for pair in exact for v in pair))
         num = np.array([[v.numerator * (den // v.denominator) for v in part]
                         for part in zip(*exact)], dtype=object)
-        if int(np.abs(num).max()) < _INT64_MAX:
-            num = num.astype(np.int64)
         return cls(n=n, num=num, den=den)
 
     def norm(self) -> float:

@@ -29,6 +29,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv) -> str:
+    """Run a command that must be refused: exit 2, nothing on stdout and one
+    `error:` line on stderr, which is returned."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
 class TestParseStateSpec:
     def test_families(self):
         assert parse_state_spec("singlet*2").n == 4
@@ -74,19 +83,15 @@ class TestCapacity:
     def test_refused_before_allocation(self, capsys, no_state_builders, spec):
         with pytest.raises(SpecParseError, match="exceeds capacity"):
             parse_state_spec(spec)
-        code, out, err = run_cli(capsys, "analyze", "--state", spec)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        usage_error(capsys, "analyze", "--state", spec)
 
     def test_refusal_follows_physical_memory(self, capsys, monkeypatch):
         assert parse_state_spec("random:12:1").n == 12
         monkeypatch.setattr(cli, "physical_memory", lambda: 1 << 20)
         with pytest.raises(SpecParseError, match="exceeds capacity"):
             parse_state_spec("random:12:1")
-        code, out, err = run_cli(capsys, "sweep", "--n", "12", "--samples", "1")
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: n=12 exceeds capacity") and err.count("\n") == 1
+        err = usage_error(capsys, "sweep", "--n", "12", "--samples", "1")
+        assert err.startswith("error: n=12 exceeds capacity")
 
     def test_dump_needs_only_the_row_blocks(self, capsys, monkeypatch, tmp_path):
         # 4 MiB holds the state and row blocks at n = 12, not all of M: the
@@ -101,15 +106,13 @@ class TestCapacity:
     @pytest.mark.parametrize("suite", ["theorem", "triples"])
     def test_verify_sizes_refused_before_allocation(self, capsys, monkeypatch, no_state_builders, suite):
         monkeypatch.setattr(cli, "physical_memory", lambda: 1 << 20)
-        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "12")
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: n=12 exceeds capacity") and err.count("\n") == 1
+        err = usage_error(capsys, "verify", "--suite", suite, "--n-max", "12")
+        assert err.startswith("error: n=12 exceeds capacity")
 
     @pytest.mark.parametrize("suite, n_max", [("theorem", "0"), ("theorem", "1"), ("triples", "0"),
                                               ("table1", "-3")])
     def test_verify_without_a_check_refused(self, capsys, no_state_builders, suite, n_max):
-        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", n_max)
-        assert code == EXIT_USAGE and out == ""
+        err = usage_error(capsys, "verify", "--suite", suite, "--n-max", n_max)
         assert err == f"error: suite {suite!r} runs no check at --n-max {n_max}\n"
 
     def test_huge_qubit_counts_refused(self, no_state_builders):
@@ -153,13 +156,11 @@ class TestDefaultTolerance:
     ])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "abc"])
     def test_unusable_tolerance_rejected(self, capsys, command, tol):
-        code, out, err = run_cli(capsys, *command, "--tol", tol)
-        assert code == EXIT_USAGE
-        assert out == ""
+        err = usage_error(capsys, *command, "--tol", tol)
         if command[0] == "verify":  # no suite reads a tolerance, so verify takes none
-            assert "unrecognized arguments: --tol" in err
+            assert err.startswith("error: unrecognized arguments: --tol")
         else:
-            assert err.startswith("error: --tol") and err.count("\n") == 1
+            assert err.startswith("error: --tol")
 
     @pytest.mark.parametrize("tol", ["abc", "nan", "1"])
     def test_unusable_env_tolerance_rejected(self, capsys, monkeypatch, tol):
@@ -206,9 +207,25 @@ class TestAnalyze:
         assert doc["matrix_shape"] == [2**17, 49]
 
     def test_exact_flag_rejects_float_state(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "--state", "random:2:1", "--exact")
-        assert code == EXIT_USAGE
+        err = usage_error(capsys, "analyze", "--state", "random:2:1", "--exact")
         assert "exact" in err
+
+    @pytest.mark.parametrize("where", ["missing/m.csv", "."])
+    def test_unwritable_dump_path_refused(self, capsys, tmp_path, where):
+        # a file in a missing directory, and a directory given as the path
+        path = tmp_path / where
+        err = usage_error(capsys, "analyze", "--state", "cat:3", "--dump-matrix", str(path))
+        assert err.startswith(f"error: cannot write --dump-matrix {str(path)!r}")
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # only input errors exit 2; a fault inside the analysis propagates
+        def broken(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "factorize", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["analyze", "--state", "cat:3"])
+        assert capsys.readouterr().err == ""
 
     def test_dump_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
@@ -240,6 +257,20 @@ class TestAnalyze:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "finite" in err
 
+    def test_overflowing_squared_norm_rejected(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 1, "amplitudes": [[1e154, 0], [1e154, 0]]}')
+        err = usage_error(capsys, "analyze", "--state", f"file:{path}")
+        assert "squared norm must be finite" in err
+
+    def test_tiny_amplitudes_analysed(self, capsys, tmp_path):
+        # |psi|^2 underflows, yet the rank rule is relative: cat:2's dimension
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 2, "amplitudes": [[1e-200, 0], [0, 0], [0, 0], [1e-200, 0]]}')
+        code, out, err = run_cli(capsys, "analyze", "--state", f"file:{path}")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["orbit_dimension"] == 3
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -262,10 +293,23 @@ class TestAnalyze:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_spec(self, capsys):
-        code, out, err = run_cli(capsys, "analyze", "--state", "nope:1")
-        assert code == EXIT_USAGE
-        assert out == ""
+        err = usage_error(capsys, "analyze", "--state", "nope:1")
         assert "unrecognized state spec" in err
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("analyze",),
+        ("analyze", "--state", "cat:3", "--bogus"),
+        ("sweep", "--n", "x", "--samples", "1"),
+        ("frobnicate",),
+    ])
+    def test_argparse_refusals_are_one_line(self, capsys, argv):
+        usage_error(capsys, *argv)
+
+    def test_help_exits_0(self):
+        for argv in (["--help"], ["analyze", "--help"]):
+            proc = subprocess.run([sys.executable, "-m", "orbitscope.cli", *argv], capture_output=True, text=True)
+            assert proc.returncode == 0 and proc.stdout.startswith("usage: orbitscope") and proc.stderr == ""
 
 
 class TestSweep:
@@ -300,14 +344,14 @@ class TestSweep:
         assert not seeds[0] & seeds[1]
 
     def test_usage_errors(self, capsys):
-        assert run_cli(capsys, "sweep", "--n", "2", "--samples", "1", "--seed", "-1")[0] == EXIT_USAGE
-        assert run_cli(capsys, "sweep", "--n", "0", "--samples", "1")[0] == EXIT_USAGE
-        assert run_cli(capsys, "sweep", "--n", "2", "--samples", "0")[0] == EXIT_USAGE
-        assert run_cli(capsys, "sweep", "--n", "40", "--samples", "1")[0] == EXIT_USAGE
-        assert (
-            run_cli(capsys, "sweep", "--family", "x", "--n", "2", "--samples", "1")[0]
-            == EXIT_USAGE
-        )
+        usage_error(capsys, "sweep", "--n", "2", "--samples", "1", "--seed", "-1")
+        usage_error(capsys, "sweep", "--n", "0", "--samples", "1")
+        usage_error(capsys, "sweep", "--n", "2", "--samples", "0")
+        usage_error(capsys, "sweep", "--n", "40", "--samples", "1")
+        # sweep draws Haar states only, so it takes no --family option
+        for family in ("x", "random"):
+            err = usage_error(capsys, "sweep", "--family", family, "--n", "2", "--samples", "1")
+            assert err.startswith("error: unrecognized arguments: --family")
 
 
 class TestVerify:
@@ -341,13 +385,15 @@ class TestVerify:
         assert "500/500" in out
 
     def test_unknown_suite(self, capsys):
-        assert run_cli(capsys, "verify", "--suite", "nope")[0] == EXIT_USAGE
+        err = usage_error(capsys, "verify", "--suite", "nope")
+        assert "invalid choice: 'nope'" in err
 
     def test_takes_no_tolerance(self, capsys):
-        assert run_cli(capsys, "verify", "--suite", "triples", "--n-max", "3", "--tol", "0")[0] == EXIT_USAGE
+        usage_error(capsys, "verify", "--suite", "triples", "--n-max", "3", "--tol", "0")
 
     def test_missing_command(self, capsys):
-        assert run_cli(capsys)[0] == EXIT_USAGE
+        err = usage_error(capsys)
+        assert "required" in err
 
 
 def test_consecutive_calls_share_no_values(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitscope import inner_products
 from orbitscope.inner_products import (
     ALL_KINDS,
     PAIR_KINDS,
@@ -210,6 +211,43 @@ class TestReportValues:
         for _, report in scenario_reports():
             assert report.all_pass
             assert all(type(check.passed) is bool for check in report.checks)
+
+
+def nested_loop_pairs(n, big_k, ops):
+    """The scenario's label pairs from the nested loop each scenario once
+    wrote out for itself: the order the reports have always listed."""
+    pairs = []
+    for k in sorted(big_k):
+        for op in ops:
+            pairs.append(((op, k), "minus_i_psi"))
+            for j in range(1, n + 1):
+                if j in big_k:
+                    continue
+                for op_j in "ABC":
+                    pairs.append(((op, k), (op_j, j)))
+    return pairs
+
+
+class TestScenarioPairs:
+    @pytest.mark.parametrize("k, seed, pair", [(1, 1, 0), (2, 2, 0), (2, 3, 1), (3, 4, 2), (4, 5, 1)])
+    def test_json_unchanged_on_adjusted_states(self, k, seed, pair):
+        # LU-dressed singlet products, every slot but the chosen pair rotated,
+        # run through both adjustments as the paper checks run them
+        slots = [2 * pair + 1, 2 * pair + 2]
+        rng = np.random.default_rng(seed)
+        factors = list(random_local_unitary(2 * k, rng).factors)
+        factors[slots[0] - 1] = factors[slots[1] - 1] = SU2GroupElement.identity()
+        psi = apply_group(LocalUnitary(tuple(factors)), make_singlet_product(k))
+        _, dep = adjust_dependency(psi, slots, [(0.0, 1.0, 0.0)] * 2, [1.0, 1.0])
+        _, two = adjust_two_common(psi, *slots)
+        main = orthogonality_report(dep, "main", slots=slots, xi=[1.0, 1.0])
+        common = orthogonality_report(two, "two-common", l=slots[0], lp=slots[1])
+        for state, report, ops in ((dep, main, "BC"), (two, common, "ABC")):
+            tol_abs = inner_products.CONCLUSION_RTOL * state.norm() ** 2
+            checks = inner_products._run_checks(state, nested_loop_pairs(2 * k, frozenset(slots), ops), tol_abs)
+            expected = inner_products.OrthogonalityReport(report.scenario, report.hypothesis_residual, checks)
+            assert report.to_json() == expected.to_json()
+            assert len(report.checks) == 2 * len(ops) * (1 + 3 * (2 * k - 2))
 
 
 class TestRealDot:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from orbitscope.states import (
     make_singlet_product,
     make_singlet_product_plus_zero,
     sample_haar_state,
+    tensor,
 )
 
 
@@ -510,6 +512,83 @@ class TestVerifyIsotropy:
         x = LocalAlgebraElement.from_triples(trips)
         expected = apply_algebra(x, psi) - 1j * float(theta) * psi.amps
         assert np.allclose(np.array(real[0::2]) + 1j * np.array(real[1::2]), expected, atol=1e-12)
+
+
+    def test_matches_the_object_product_on_every_family_element(self):
+        # every isotropy element of the exact families accepted, as the whole
+        # integer M times v accepts it; one perturbed copy of each, with the
+        # oracle deciding
+        rejected = 0
+        for psi in [*exact_families(8), *complex_exact_states()]:
+            m = build_matrix(psi).data.astype(object)
+            for elem in isotropy_basis(psi):
+                assert verify_isotropy(psi, elem) and not any(object_residual(m, elem))
+                for bent in perturbed(elem):
+                    expected = not any(object_residual(m, bent))
+                    assert verify_isotropy(psi, bent) == expected
+                    rejected += not expected
+        assert rejected > 0
+
+    def test_large_numerators_over_a_denominator(self):
+        # numerators >= 2**53 (object ints) over den > 1: the rotated singlet
+        # times a large integer, alone and with a |0> factor
+        rotated = complex_exact_states()[1]
+        big = PureState(n=2, num=rotated.num.astype(object) * (2**60 + 1), den=7 * rotated.den)
+        assert big.num.dtype == object
+        for psi in (big, tensor(big, make_basis(MultiIndex((0,))))):
+            m = build_matrix(psi).data.astype(object)
+            basis = isotropy_basis(psi)
+            assert len(basis) == 3 * psi.n + 1 - (min_orbit_bound(psi.n) + 1)
+            for elem in basis:
+                assert verify_isotropy(psi, elem) and not any(object_residual(m, elem))
+                for bent in perturbed(elem):
+                    assert verify_isotropy(psi, bent) == (not any(object_residual(m, bent)))
+                    assert not verify_isotropy(psi, bent)
+
+
+def object_residual(m, elem):
+    """M v, for the whole integer M of a state as Python ints and the
+    element's vector v scaled to integers: the residual X.psi - i theta psi,
+    realified and scaled (the oracle for the exact `verify_isotropy`)."""
+    v = [c for co in elem.x.coords for c in (co.t, co.r, co.s)] + [elem.theta]
+    scale = math.lcm(*(c.denominator for c in v))
+    return m @ np.array([int(c * scale) for c in v], dtype=object)
+
+
+def complex_exact_states():
+    """Exact states whose real and imaginary parts are not proportional:
+    |0> + i|1>, the singlet with the Gaussian-rational SU(2) element
+    [[1+2i, -2+4i], [2+4i, 1-2i]] / 5 on qubit 1, and products of them."""
+    phase = PureState(n=1, num=np.array([[1, 0], [0, 1]]))
+    rotated = PureState(n=2, num=np.array([[2, 1, -1, 2], [-4, 2, 2, 4]]), den=5)
+    return [phase, rotated, tensor(phase, make_singlet_product(1)), tensor(rotated, phase),
+            tensor(make_cat(2), rotated)]
+
+
+def perturbed(elem):
+    """The element with theta moved by 1, and with its last slot's t moved
+    by 1/3."""
+    coords = list(elem.x.coords)
+    last = coords[-1]
+    coords[-1] = type(last)(last.t + Fraction(1, 3), last.r, last.s)
+    return [
+        IsotropyElement(x=elem.x, theta=elem.theta + 1),
+        IsotropyElement(x=LocalAlgebraElement(tuple(coords)), theta=elem.theta),
+    ]
+
+
+class TestExactNumeratorDtypes:
+    @pytest.mark.parametrize("num", [
+        np.array([[1, 0], [0, 0]], dtype=object),
+        np.array([[200, 0], [0, 3]], dtype=np.uint8),
+        np.array([[3, 0, 0, 200], [0, 0, 0, 0]], dtype=np.uint8),
+    ])
+    def test_analysed_as_their_int64_copy(self, num):
+        # the object array once failed in the Gram sum, and uint8 negation
+        # wrapped around and broke the table check
+        psi = PureState(n=num.shape[1].bit_length() - 1, num=num)
+        ref = PureState(n=psi.n, num=np.array(num.tolist(), dtype=np.int64))
+        assert factorize(psi) == factorize(ref)
 
 
 class TestMinOrbitBound:

@@ -232,6 +232,74 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="finite"):
             PureState.from_amplitudes([1, bad])
 
+    @pytest.mark.parametrize("amp", [1e154, complex(0, 1e154), 1e200])
+    def test_overflowing_squared_norm_rejected(self, amp):
+        # each amplitude is finite, but |psi|^2 is not
+        with pytest.raises(ValueError, match="squared norm must be finite"):
+            PureState.from_amplitudes([amp, amp])
+
+    def test_tiny_amplitudes_accepted(self):
+        # |psi|^2 underflows to 0 here, which is not the zero state
+        psi = PureState(n=2, amps=make_cat(2).amps * 1e-200)
+        assert psi.amps[0] == 1e-200
+
+
+class TestExactNumerators:
+    """`PureState` stores exact numerators as int64 when every |v| < 2**53
+    and as object Python ints otherwise, and refuses non-integers."""
+
+    def test_object_small_ints_stored_as_int64(self):
+        psi = PureState(n=1, num=np.array([[1, 0], [0, 0]], dtype=object))
+        assert psi.num.dtype == np.int64
+        assert exact_pairs(psi) == ((1, 0), (0, 0))
+
+    def test_float_numerators_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            PureState(n=1, num=np.array([[1.5, 0], [0, 0]]))
+        with pytest.raises(ValueError, match="integers"):
+            PureState(n=1, num=np.array([[1.0, 0], [0, 0]]))
+
+    def test_bool_numerators_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            PureState(n=1, num=np.array([[True, False], [False, False]]))
+        with pytest.raises(ValueError, match="integers"):
+            PureState(n=1, num=np.array([[True, 0], [0, 0]], dtype=object))
+
+    def test_unsigned_numerators_widened(self):
+        psi = PureState(n=1, num=np.array([[200, 0], [0, 3]], dtype=np.uint8))
+        assert psi.num.dtype == np.int64
+        assert psi.num.tolist() == [[200, 0], [0, 3]]
+
+    @pytest.mark.parametrize("den", [0, -1, 1.0, True, Fraction(1)])
+    def test_denominator_must_be_a_positive_int(self, den):
+        with pytest.raises(ValueError, match="denominator"):
+            PureState(n=1, num=np.array([[1, 0], [0, 0]]), den=den)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, "1", None])
+    def test_non_int_objects_refused(self, value):
+        with pytest.raises(ValueError, match="integers"):
+            PureState(n=1, num=np.array([[1, value], [0, 0]], dtype=object))
+
+    @pytest.mark.parametrize("top, dtype", [(2**53 - 1, np.int64), (2**53, object)])
+    def test_storage_switches_at_2_pow_53(self, top, dtype):
+        for num in (np.array([[top, 0], [0, -top]]), np.array([[top, 0], [0, -top]], dtype=object)):
+            psi = PureState(n=1, num=num, den=np.int64(3))
+            assert psi.num.dtype == dtype and type(psi.den) is int
+            assert all(type(v) is int for v in psi.num.ravel().tolist())
+            assert exact_pairs(psi) == ((Fraction(top, 3), 0), (0, Fraction(-top, 3)))
+
+    def test_numpy_ints_in_an_object_array_become_python_ints(self):
+        psi = PureState(n=1, num=np.array([[np.int64(3), 2**70], [0, np.int32(-1)]], dtype=object))
+        assert psi.num.dtype == object
+        assert [type(v) for v in psi.num.ravel()] == [int] * 4
+        assert psi.num.tolist() == [[3, 2**70], [0, -1]]
+
+    def test_from_exact_leaves_the_choice_to_the_state(self):
+        small = PureState.from_exact([(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(-1, 2))])
+        assert small.num.dtype == np.int64 and small.den == 6
+        big = PureState.from_exact([(Fraction(2**60), Fraction(0)), (Fraction(0), Fraction(1))])
+        assert big.num.dtype == object
+
 
 class TestJsonFormat:
     def test_float_roundtrip(self):
