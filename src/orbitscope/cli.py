@@ -1,8 +1,9 @@
 """Command-line front end: analyze states, sweep random families, and run
-the verification suites.  All output is machine-readable; exit codes are
-0 = success, 1 = verification failure, 2 = usage or input error.  Every
-usage or input error is raised as a `UsageError` and reported by `main`
-alone, as one `error: <message>` line on stderr.
+the verification suites.  All output is machine-readable: reports are JSON
+written by Python's `json` module.  Exit codes are 0 = success,
+1 = verification failure, 2 = usage or input error.  Every usage or input
+error is raised as a `UsageError` and reported by `main` alone, as one
+`error: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -135,24 +135,8 @@ def parse_state_spec(spec: str) -> PureState:
     )
 
 
-def _format_value(value):
-    if isinstance(value, bool) or value is None or isinstance(value, int):
-        return json.dumps(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_format_value(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)}")
-
-
-def dumps(value) -> str:
-    """JSON with floats printed at 17 significant digits."""
-    return _format_value(value)
+# The bench's span recorder wraps this name, so serialization stays one layer.
+dumps = json.dumps
 
 
 def parse_tolerance(text: str, source: str = "--tol") -> float:
@@ -171,76 +155,45 @@ def default_tolerance() -> float:
     return parse_tolerance(env, "ORBITSCOPE_TOL") if env else DEFAULT_TOL
 
 
-@dataclass
-class AnalysisReport:
-    n: int
-    orbit_dimension: int
-    rank: int
-    matrix_shape: tuple[int, int]
-    min_bound: int
-    achieves_min: bool
-    isotropy_dimension: int
-    isotropy_basis: list
-    rank_path: str
-    tolerance: float | None
-
-    def to_dict(self) -> dict:
-        assert self.orbit_dimension == self.rank - 1
-        assert self.achieves_min == (self.orbit_dimension == self.min_bound)
-        assert self.isotropy_dimension == 3 * self.n + 1 - self.rank
-        return {
-            "n": self.n,
-            "orbit_dimension": self.orbit_dimension,
-            "rank": self.rank,
-            "matrix_shape": list(self.matrix_shape),
-            "min_bound": self.min_bound,
-            "achieves_min": self.achieves_min,
-            "isotropy_dimension": self.isotropy_dimension,
-            "isotropy_basis": self.isotropy_basis,
-            "rank_path": self.rank_path,
-            "tolerance": self.tolerance,
-        }
-
-
 def analyze_state(
     psi: PureState,
     tol: float,
     force_exact: bool = False,
     dump_matrix: str | None = None,
-) -> AnalysisReport:
+) -> dict:
+    """The report for one state: rank of M, orbit dimension and isotropy
+    basis.  A `--dump-matrix` path is written before the factorization, so an
+    unwritable one is refused without the analysis."""
     if force_exact and not psi.is_exact:
         raise UsageError("--exact requires a state with exact amplitudes")
-    rank, kernel = factorize(psi, tol)
-    rank_path = "exact" if psi.is_exact else "float"
     if dump_matrix:
         try:
             dump_csv(psi, dump_matrix)
         except OSError as exc:
             raise UsageError(f"cannot write --dump-matrix {dump_matrix!r}: {exc.strerror or exc}") from exc
-    basis_out = []
+    rank, kernel = factorize(psi, tol)
+    n, bound = psi.n, min_orbit_bound(psi.n)
+    basis = []
     for vec in kernel:
         floats = [float(v) for v in vec]
-        coords = [floats[3 * k : 3 * k + 3] for k in range(psi.n)]
-        basis_out.append({"coords": coords, "theta": floats[3 * psi.n]})
-    bound = min_orbit_bound(psi.n)
-    return AnalysisReport(
-        n=psi.n,
-        orbit_dimension=rank - 1,
-        rank=rank,
-        matrix_shape=(2 << psi.n, 3 * psi.n + 1),
-        min_bound=bound,
-        achieves_min=(rank - 1 == bound),
-        isotropy_dimension=3 * psi.n + 1 - rank,
-        isotropy_basis=basis_out,
-        rank_path=rank_path,
-        tolerance=None if rank_path == "exact" else tol,
-    )
+        basis.append({"coords": [floats[3 * k : 3 * k + 3] for k in range(n)], "theta": floats[3 * n]})
+    return {
+        "n": n,
+        "orbit_dimension": rank - 1,
+        "rank": rank,
+        "matrix_shape": [2 << n, 3 * n + 1],
+        "min_bound": bound,
+        "achieves_min": rank - 1 == bound,
+        "isotropy_dimension": 3 * n + 1 - rank,
+        "isotropy_basis": basis,
+        "rank_path": "exact" if psi.is_exact else "float",
+        "tolerance": None if psi.is_exact else tol,
+    }
 
 
 def cmd_analyze(args) -> int:
     psi = parse_state_spec(args.state)
-    report = analyze_state(psi, args.tol, force_exact=args.exact, dump_matrix=args.dump_matrix)
-    print(dumps(report.to_dict()))
+    print(dumps(analyze_state(psi, args.tol, force_exact=args.exact, dump_matrix=args.dump_matrix)))
     return EXIT_OK
 
 
@@ -251,6 +204,7 @@ def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise UsageError("need seed >= 0")
     bound = min_orbit_bound(args.n)
+    fields = ("n", "orbit_dimension", "rank", "min_bound", "achieves_min")
     dims = []
     for i in range(args.samples):
         # each (seed, sample) pair gets its own stream, so --seed s and s + 1
@@ -258,20 +212,8 @@ def cmd_sweep(args) -> int:
         seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1, np.uint64)[0])
         psi = sample_haar_state(args.n, seed)
         report = analyze_state(psi, args.tol)
-        dims.append(report.orbit_dimension)
-        print(
-            dumps(
-                {
-                    "sample": i,
-                    "seed": seed,
-                    "n": args.n,
-                    "orbit_dimension": report.orbit_dimension,
-                    "rank": report.rank,
-                    "min_bound": bound,
-                    "achieves_min": report.achieves_min,
-                }
-            )
-        )
+        dims.append(report["orbit_dimension"])
+        print(dumps({"sample": i, "seed": seed, **{key: report[key] for key in fields}}))
     histogram = {str(d): dims.count(d) for d in sorted(set(dims))}
     violations = sum(1 for d in dims if d < bound)
     print(

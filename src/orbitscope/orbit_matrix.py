@@ -295,7 +295,12 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     """
     if psi.is_exact:
         return _factorize_exact(_gram(_state_fill(psi), psi.n, int(np.abs(psi.num).max())))
-    return _factorize_float(_state_fill(psi), psi.n, tol)
+    # rank and kernel ignore scale: a power of two brings max|amp| to [1/2, 1)
+    # exactly, so the Gram check cannot underflow before its rounding error
+    # does (ldexp, as 2.0**-e overflows for a subnormal maximum)
+    e = math.frexp(np.abs(psi.amps).max())[1]
+    re, im = np.ldexp(psi.amps.real, -e), np.ldexp(psi.amps.imag, -e)
+    return _factorize_float(lambda lo, hi, out: _build_real(re, im, psi.n, lo, hi, out), psi.n, tol)
 
 
 def rank_float(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> int:

@@ -100,6 +100,15 @@ def ratio_to_float(num: np.ndarray, den: int) -> np.ndarray:
     return num / den
 
 
+def _qubit_count(count: int) -> int:
+    """n with 2**n == count, in integer arithmetic, so that no count (zero
+    included) overflows."""
+    n = count.bit_length() - 1
+    if n < 0 or 1 << n != count:
+        raise ValueError("amplitude count must be a power of two")
+    return n
+
+
 @dataclass(frozen=True)
 class PureState:
     """An unnormalized n-qubit state vector.
@@ -155,17 +164,12 @@ class PureState:
     @classmethod
     def from_amplitudes(cls, amps: Sequence[complex]) -> "PureState":
         amps = np.asarray(amps, dtype=complex)
-        n = int(np.log2(len(amps)))
-        if 1 << n != len(amps):
-            raise ValueError("amplitude count must be a power of two")
-        return cls(n=n, amps=amps)
+        return cls(n=_qubit_count(len(amps)), amps=amps)
 
     @classmethod
     def from_exact(cls, exact: Sequence[tuple[Fraction, Fraction]]) -> "PureState":
         """An exact state from (Fraction, Fraction) pairs, rescaled to integers."""
-        n = int(np.log2(len(exact)))
-        if 1 << n != len(exact):
-            raise ValueError("amplitude count must be a power of two")
+        n = _qubit_count(len(exact))
         if not all(isinstance(v, Fraction) for pair in exact for v in pair):
             raise TypeError("exact amplitudes must be Fraction pairs")
         den = math.lcm(*(v.denominator for pair in exact for v in pair))
@@ -253,8 +257,8 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational string has a zero denominator: {text!r}") from None
 
 
-def _amplitude_pairs(doc: dict, key: str, kind, dim: int) -> list:
-    """doc[key], checked to be a list of dim [re, im] pairs of `kind`."""
+def _amplitude_pairs(doc: dict, key: str, kind, n: int) -> list:
+    """doc[key], checked to be a list of 2**n [re, im] pairs of `kind`."""
     raw = doc[key]
     if not isinstance(raw, list) or not all(
         isinstance(pair, list) and len(pair) == 2
@@ -263,8 +267,9 @@ def _amplitude_pairs(doc: dict, key: str, kind, dim: int) -> list:
     ):
         what = "strings" if kind is str else "numbers"
         raise ValueError(f"{key!r} must be a list of [re, im] pairs of {what}")
-    if len(raw) != dim:
-        raise ValueError(f"expected {dim} amplitudes, got {len(raw)}")
+    # the bit length bounds n by the list's own size before 2**n is formed
+    if len(raw).bit_length() != n + 1 or len(raw) != 1 << n:
+        raise ValueError(f"expected 2**{n} amplitudes, got {len(raw)}")
     return raw
 
 
@@ -279,13 +284,12 @@ def state_from_json(doc: dict) -> PureState:
     n = doc.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("state file needs a positive integer 'n'")
-    dim = 1 << n
     if "amplitudes_exact" in doc:
-        raw = _amplitude_pairs(doc, "amplitudes_exact", str, dim)
+        raw = _amplitude_pairs(doc, "amplitudes_exact", str, n)
         exact = [(_parse_rational(re), _parse_rational(im)) for re, im in raw]
         return PureState.from_exact(exact)
     if "amplitudes" in doc:
-        raw = _amplitude_pairs(doc, "amplitudes", (int, float), dim)
+        raw = _amplitude_pairs(doc, "amplitudes", (int, float), n)
         amps = np.array([complex(re, im) for re, im in raw])
         return PureState(n=n, amps=amps)
     raise ValueError("state file needs 'amplitudes' or 'amplitudes_exact'")

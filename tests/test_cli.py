@@ -15,6 +15,7 @@ from orbitscope.cli import (
     main,
     parse_state_spec,
 )
+from orbitscope.lie_action import apply_group, random_local_unitary
 from orbitscope.states import (
     make_cat,
     make_singlet_product,
@@ -36,6 +37,15 @@ def usage_error(capsys, *argv) -> str:
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     return err
+
+
+def builtin_json(value) -> bool:
+    """True iff value is made of the builtin types `json` writes as they are."""
+    if type(value) is dict:
+        return all(type(k) is str and builtin_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(builtin_json, value))
+    return type(value) in (str, int, float, bool, type(None))
 
 
 class TestParseStateSpec:
@@ -122,7 +132,7 @@ class TestCapacity:
 
 class TestDumps:
     def test_float_precision(self):
-        assert dumps(1 / 3) == "0.33333333333333331"
+        assert dumps(1 / 3) == "0.3333333333333333"
         assert json.loads(dumps(1 / 3)) == 1 / 3
 
     def test_scalars(self):
@@ -211,8 +221,13 @@ class TestAnalyze:
         assert "exact" in err
 
     @pytest.mark.parametrize("where", ["missing/m.csv", "."])
-    def test_unwritable_dump_path_refused(self, capsys, tmp_path, where):
-        # a file in a missing directory, and a directory given as the path
+    def test_unwritable_dump_path_refused(self, capsys, monkeypatch, tmp_path, where):
+        # a file in a missing directory, and a directory given as the path;
+        # the path is refused before the analysis runs
+        def analysis(*args):
+            pytest.fail("the state was analysed before its dump path was refused")
+
+        monkeypatch.setattr(cli, "factorize", analysis)
         path = tmp_path / where
         err = usage_error(capsys, "analyze", "--state", "cat:3", "--dump-matrix", str(path))
         assert err.startswith(f"error: cannot write --dump-matrix {str(path)!r}")
@@ -271,6 +286,19 @@ class TestAnalyze:
         assert code == EXIT_OK and err == ""
         assert json.loads(out)["orbit_dimension"] == 3
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_subnormal_scales_analysed(self, capsys, tmp_path, n):
+        # |psi|^2 lands near the bottom of the subnormal range; the rank is
+        # the unscaled state's
+        rank = json.loads(run_cli(capsys, "analyze", "--state", f"random:{n}:5")[1])["rank"]
+        for scale in (1e-158, 1e-159, 1e-160):
+            path = tmp_path / "state.json"
+            amps = sample_haar_state(n, 5).amps * scale
+            path.write_text(json.dumps({"n": n, "amplitudes": [[a.real, a.imag] for a in amps.tolist()]}))
+            code, out, err = run_cli(capsys, "analyze", "--state", f"file:{path}")
+            assert code == EXIT_OK and err == ""
+            assert json.loads(out)["rank"] == rank, scale
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -282,6 +310,8 @@ class TestAnalyze:
             '{"n": 1, "amplitudes_exact": [["1", "0"], [1, "0"]]}',
             '{"n": 1, "amplitudes_exact": [["1", "0"], ["1/0", "0"]]}',
             '{"n": 1, "amplitudes_exact": [["1", "0"], [["1"], "0"]]}',
+            # 2**n is never formed: the list's length is checked first
+            '{"n": 1099511627776, "amplitudes": [[1, 0], [0, 0]]}',
         ],
     )
     def test_malformed_state_file_rejected(self, capsys, tmp_path, text):
@@ -291,6 +321,23 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_stdout_is_the_report_in_json(self, capsys, tmp_path):
+        # Python's `json` spelling of the dict `analyze_state` returns
+        rotated = apply_group(random_local_unitary(4, np.random.default_rng(3)), make_singlet_product(2))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json(rotated)))
+        for spec in ("singlet*1", f"file:{path}"):
+            report = cli.analyze_state(parse_state_spec(spec), default_tolerance())
+            code, out, _ = run_cli(capsys, "analyze", "--state", spec)
+            assert code == EXIT_OK and out == json.dumps(report) + "\n"
+            assert builtin_json(report)
+            basis = json.loads(out)["isotropy_basis"]
+            values = [c for vec in basis for triple in vec["coords"] for c in triple] + [vec["theta"] for vec in basis]
+            assert values and all(type(v) is float for v in values)
+        # singlet*1's kernel has integral coordinates, and they stay floats
+        assert '"coords": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "theta": 0.0}' in run_cli(
+            capsys, "analyze", "--state", "singlet*1")[1]
 
     def test_bad_spec(self, capsys):
         err = usage_error(capsys, "analyze", "--state", "nope:1")
@@ -331,6 +378,8 @@ class TestSweep:
             for s in samples
         )
         assert all(s["orbit_dimension"] >= s["min_bound"] for s in samples)
+        assert all(list(s) == ["sample", "seed", "n", "orbit_dimension", "rank", "min_bound", "achieves_min"]
+                   for s in samples)
         assert aggregate["bound_violations"] == 0
         assert sum(aggregate["histogram"].values()) == 4
 

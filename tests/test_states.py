@@ -227,6 +227,11 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             PureState.from_amplitudes([1, 0, 0])
 
+    def test_empty_amplitude_lists_rejected(self):
+        for build in (PureState.from_amplitudes, PureState.from_exact):
+            with pytest.raises(ValueError, match="power of two"):
+                build([])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -338,6 +343,13 @@ class TestJsonFormat:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             state_from_json({"n": 2, "amplitudes": [[1, 0]]})
+
+    @pytest.mark.parametrize("key, pair", [("amplitudes", [1, 0]), ("amplitudes_exact", ["1", "0"])])
+    @pytest.mark.parametrize("n", [10**8, 2**40])
+    def test_huge_n_refused_by_the_list_length(self, key, pair, n):
+        # 2**n is never formed: the message spells it, and nothing is allocated
+        with pytest.raises(ValueError, match=rf"^expected 2\*\*{n} amplitudes, got 2$"):
+            state_from_json({"n": n, key: [pair, pair]})
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroStateError):
