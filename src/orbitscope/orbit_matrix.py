@@ -149,13 +149,15 @@ def build_matrix(psi: PureState) -> OrbitMatrix:
 def _check_gram(g: np.ndarray, rtol: float) -> None:
     """Two facts of the inner-product table, checked on a Gram matrix of M:
     every column has the squared norm of the theta column, |psi|^2, and the
-    columns of each triple T_k are mutually orthogonal.  With rtol = 0 the
-    check is exact (integer Gram matrices)."""
-    norm2 = g[-1, -1]
+    columns of each triple T_k are mutually orthogonal; that is, the 3 x 3
+    diagonal block of each triple is |psi|^2 I.  One comparison of the
+    largest deviation; with rtol = 0 the check is exact (integer Gram
+    matrices)."""
+    norm2, k = g[-1, -1], g.shape[0] - 1
     bound = rtol * norm2 if rtol else 0
-    a = np.arange(0, g.shape[0] - 1, 3)
-    entries = (np.diagonal(g) - norm2, g[a, a + 1], g[a, a + 2], g[a + 1, a + 2])
-    if not all(np.all(np.abs(e) <= bound) for e in entries):
+    # blocks[:, :, j] is the 3 x 3 Gram matrix of triple j + 1
+    blocks = np.diagonal(g[:k, :k].reshape(k // 3, 3, k // 3, 3), axis1=0, axis2=2)
+    if not np.abs(blocks - norm2 * np.eye(3, dtype=g.dtype)[:, :, None]).max() <= bound:
         raise AssertionError("Gram matrix breaks the inner-product table")
 
 
@@ -184,34 +186,83 @@ def _qr_in_place(w: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
 
 
+def _certifies_full_rank(g: np.ndarray, rows: int, tol: float) -> bool:
+    """Whether the float Gram matrix g = fl(M^T M) of a real M with `rows`
+    rows proves that every singular value of M exceeds tol times the largest.
+
+    With u = 2**-53 and gamma_m = m u / (1 - m u), each entry of g is an
+    inner product of length m = rows, so |g - M^T M| <= gamma_m |M|^T |M|
+    entrywise, whatever the order of summation (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.5), and
+    ||g - M^T M||_2 <= gamma_m || |M| ||_F^2 = gamma_m trace(M^T M).  The
+    computed eigenvalues of g are those of g + F with ||F||_2 a small
+    multiple of cols u ||g||_2 (backward stability of the symmetric
+    eigensolver); (3n+1)^2 u trace(g) = cols^2 u trace(g) bounds that
+    generously, and absorbs the difference between trace(M^T M) and
+    trace(g), a factor 1 + O(gamma_m), and the rounding of the test below.
+    So by Weyl's inequality every eigenvalue of M^T M lies within
+        delta = (gamma_m + cols^2 u) trace(g)
+    of the computed one, and lambda_min - delta > tol^2 (lambda_max + delta)
+    proves sigma_min^2 > tol^2 sigma_1^2.
+
+    The test only ever says yes: g resolves sigma to about sqrt(u) sigma_1,
+    much coarser than tol, so a rank deficiency or a near-tolerance state is
+    left to the TSQR.  Where it says yes, sigma_min > sqrt(delta) >=
+    cols sqrt(u) sigma_1 (trace(g) >= sigma_1^2), at least 400 tol sigma_1
+    (4e3 at n = 12), far beyond the TSQR's own rounding, so the TSQR would
+    have found full rank too.
+    """
+    u = 2.0**-53
+    cols, mu = g.shape[0], rows * u
+    if mu >= 0.5:  # gamma_m is no bound at all this close to m u = 1
+        return False
+    lam = np.linalg.eigvalsh(g)
+    delta = (mu / (1 - mu) + cols * cols * u) * np.trace(g)
+    return bool(lam[0] - delta > tol * tol * (lam[-1] + delta))
+
+
 def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     """Rank and an orthonormal kernel basis (rows) of a float M whose row
     blocks `fill` writes (see `_state_fill`).
 
-    Sequential TSQR in one Fortran-ordered workspace W: its top 3n+1 rows
-    hold the triangular factor R of the rows folded so far (zero at first),
-    `fill` writes the next block into the rest of W, and an in-place QR of W
-    leaves R of [R; block] on top, so that R^T R = M^T M and no more than R
-    and one block are factorized at once.  The Householder vectors of
-    [R; block] are zero below the diagonal of R, so W's top rows stay
-    exactly triangular.  A block's rows are ordered (part, amplitude), not
-    interleaved; a row permutation leaves R^T R unchanged.
+    One pass over the row blocks sums the Gram matrix g = M^T M, one BLAS
+    T T^T per block T, each block written into the block region of the
+    TSQR workspace W below; g is checked against the inner-product table.
+    When g proves full rank (`_certifies_full_rank`), which almost every
+    float state has, that is the answer, with an empty kernel.
+
+    Otherwise sequential TSQR in the one Fortran-ordered workspace W: its
+    top 3n+1 rows hold the triangular factor R of the rows folded so far
+    (zero at first), `fill` writes the next block into the rest of W, and an
+    in-place QR of W leaves R of [R; block] on top, so that R^T R = M^T M and
+    no more than R and one block are factorized at once.  The Gram pass runs
+    over the blocks backwards, so the first block is already in W.  The
+    Householder vectors of [R; block] are zero below the diagonal of R, so
+    W's top rows stay exactly triangular.  A block's rows are ordered (part,
+    amplitude), not interleaved; a row permutation leaves R^T R unchanged.
     R has the singular values of M, so one SVD of R gives both answers: the
     rank counts those above tol times the largest (`_sigma_rank`), and the
-    trailing right singular vectors, computed only when the rank falls
-    short, span the kernel.  R^T R is the Gram matrix of M, so the
-    inner-product table is checked on it without touching M again.
+    trailing right singular vectors span the kernel.
     """
     cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
     w = np.zeros((cols + 2 * amps, cols), order="F")
-    block = w.T[:, cols:].reshape(cols, 2, amps)  # a view: W.T is C-ordered
-    for lo in range(0, 1 << n, amps):
+    t = w.T[:, cols:]  # a view: W.T is C-ordered
+    block = t.reshape(cols, 2, amps)
+    starts = range(0, 1 << n, amps)
+    g = 0
+    for lo in reversed(starts):
         fill(lo, lo + amps, block)
+        g = g + t @ t.T
+    _check_gram(g, GRAM_RTOL)
+    if _certifies_full_rank(g, 2 << n, tol):
+        return cols, np.zeros((0, cols))
+    for lo in starts:
+        if lo:
+            fill(lo, lo + amps, block)
         _qr_in_place(w)
-    r = w[:cols]
-    _check_gram(r.T @ r, GRAM_RTOL)
-    rank = _sigma_rank(np.linalg.svd(r, compute_uv=False), tol)
-    return rank, np.linalg.svd(r)[2][rank:] if rank < cols else np.zeros((0, cols))
+    _, s, vt = np.linalg.svd(w[:cols])
+    rank = _sigma_rank(s, tol)
+    return rank, vt[rank:]
 
 
 def _gram(fill, n: int, maxabs: int) -> np.ndarray:
@@ -282,13 +333,14 @@ def _factorize_exact(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]]
 
 
 def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.ndarray]:
-    """Rank of M and a basis of ker M for the state psi, from one
-    factorization that consumes M block by block, after the Gram matrix is
-    checked against the inner-product table.
+    """Rank of M and a basis of ker M for the state psi, from M consumed
+    block by block, after the Gram matrix is checked against the
+    inner-product table.
 
-    Float state: TSQR, then one SVD of the (3n+1)^2 factor R, tol deciding
-    the rank from its singular values (`_factorize_float`); the kernel is an
-    orthonormal array of row vectors.
+    Float state (`_factorize_float`): the float Gram matrix, whose
+    eigenvalues prove full rank for almost every state; when they cannot,
+    TSQR and one SVD of the (3n+1)^2 factor R, tol deciding the rank from
+    its singular values.  The kernel is an orthonormal array of row vectors.
     Exact state: the integer Gram matrix summed over the blocks (`_gram`)
     and eliminated with no tolerance (`_factorize_exact`); the kernel is a
     list of Fraction tuples.

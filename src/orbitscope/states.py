@@ -7,6 +7,7 @@ lives at storage position sum_k i_k * 2**(n-k).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -260,10 +261,12 @@ def _parse_rational(text: str) -> Fraction:
 def _amplitude_pairs(doc: dict, key: str, kind, n: int) -> list:
     """doc[key], checked to be a list of 2**n [re, im] pairs of `kind`."""
     raw = doc[key]
+    # the pair structure first, then each element type once, not each value
     if not isinstance(raw, list) or not all(
-        isinstance(pair, list) and len(pair) == 2
-        and all(isinstance(v, kind) and not isinstance(v, bool) for v in pair)
-        for pair in raw
+        isinstance(pair, list) and len(pair) == 2 for pair in raw
+    ) or not all(
+        issubclass(t, kind) and not issubclass(t, bool)
+        for t in set(map(type, itertools.chain.from_iterable(raw)))
     ):
         what = "strings" if kind is str else "numbers"
         raise ValueError(f"{key!r} must be a list of [re, im] pairs of {what}")

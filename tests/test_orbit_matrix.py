@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -182,6 +183,36 @@ class TestBuildMatrix:
                 factorize(psi)
             monkeypatch.setattr(orbit_matrix, "_build_real", build)
 
+    @pytest.mark.parametrize("dtype, norm2, rtol, off", [
+        (np.float64, 4.0, orbit_matrix.GRAM_RTOL, 1e-8),
+        (np.int64, 4, 0, 1),
+        (object, 2**70, 0, 1),  # a float check would lose the 1
+    ])
+    def test_gram_check_sees_every_table_fact(self, dtype, norm2, rtol, off):
+        # |psi|^2 I on each triple's 3 x 3 block passes, whatever lies between
+        # triples or in the theta row; any diagonal entry or in-triple entry
+        # off by `off` fails, exactly (rtol = 0) on integer Gram matrices
+        n = 3
+        cols = 3 * n + 1
+        good = np.zeros((cols, cols), dtype=dtype)
+        good[np.diag_indices(cols)] = norm2
+        good[0, 3] = good[3, 0] = good[2, -1] = good[-1, 2] = 7
+        orbit_matrix._check_gram(good, rtol)
+        spots = [(i, i) for i in range(cols - 1)]
+        spots += [(a + i, a + j) for a in range(0, 3 * n, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+        for (i, j), sign in itertools.product(spots, (1, -1)):
+            bad = good.copy()
+            bad[i, j] = bad[i, j] + sign * off
+            with pytest.raises(AssertionError, match="inner-product table"):
+                orbit_matrix._check_gram(bad, rtol)
+        if dtype is np.float64:
+            near = good.copy()
+            near[0, 0] += 1e-10
+            orbit_matrix._check_gram(near, rtol)
+            near[0, 1] = np.nan
+            with pytest.raises(AssertionError, match="inner-product table"):
+                orbit_matrix._check_gram(near, rtol)
+
     def test_transposed_block_matches_matrix_rows(self):
         # a middle block, built or copied from M, holds the matching rows of
         # the whole M transposed, real and imaginary rows apart
@@ -356,12 +387,19 @@ class TestIsotropy:
                 assert np.abs(k.T @ k - ref.T @ ref).max() <= 1e-8
 
     def test_one_factorization_per_float_analysis(self, monkeypatch):
-        # one in-place dgeqrf of numpy's LAPACK per row block, the one-block
-        # case included, all on the same F-ordered workspace, no QR copy or
-        # stacked copy, then one singular-value pass over the (3n+1)^2
-        # factor R and a full SVD of R only when there is a kernel
+        # one pass of the row blocks, last to first, into the block region of
+        # one F-ordered workspace sums the Gram matrix; one eigvalsh of it
+        # decides a full rank with no QR and no SVD.  Otherwise one in-place
+        # dgeqrf of numpy's LAPACK per row block on that same workspace, the
+        # first block left there by the Gram pass, and then one full SVD of
+        # the (3n+1)^2 factor R; no QR copy or stacked copy
         calls = []
+        build = orbit_matrix._build_real
         original_dgeqrf = np.linalg.lapack_lite.dgeqrf
+
+        def fill(re, im, n, lo, hi, out):
+            calls.append(("fill", out.base, lo))
+            build(re, im, n, lo, hi, out)
 
         def dgeqrf(rows, cols, a, lda, *args):
             result = original_dgeqrf(rows, cols, a, lda, *args)
@@ -375,26 +413,40 @@ class TestIsotropy:
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, **kw: calls.append((name, pick(*a, **kw))) or original(*a, **kw))
 
+        monkeypatch.setattr(orbit_matrix, "_build_real", fill)
         monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", dgeqrf)
+        record(np.linalg, "eigvalsh", lambda a, *args, **kw: a.shape)
         record(np.linalg, "svd", lambda a, *args, compute_uv=True, **kw: (a.shape, compute_uv))
         record(np.linalg, "qr", lambda a, *args, **kw: a.shape)
         record(np, "vstack", lambda arrays, *args, **kw: len(arrays))
         rng = np.random.default_rng(3)
-        cases = [(apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)), 3 * k) for k in (3, 6)]
+        # (state, nullity, decided by the Gram matrix)
+        cases = [(sample_haar_state(n, 40 + n), 0, True) for n in (9, 10)]
+        cases += [(apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)), 3 * k, False) for k in (3, 6)]
         # a one-qubit state has a one-dimensional isotropy algebra
-        cases += [(sample_haar_state(n, 40 + n), int(n == 1)) for n in (1, 9, 10)]
-        for psi, nullity in cases:
+        cases += [(sample_haar_state(1, 41), 1, False)]
+        for psi, nullity, certified in cases:
             n, cols = psi.n, 3 * psi.n + 1
             amps = min(1 << n, BLOCK_AMPS)
+            starts = list(range(0, 1 << n, amps))
             calls.clear()
             assert len(isotropy_basis(psi)) == nullity
-            folds = [call for call in calls if call[0] == "dgeqrf"]
-            assert len(folds) == (1 << n) // amps
-            w = folds[0][1]
+            w = calls[0][1]
             assert w.shape == (cols + 2 * amps, cols) and w.flags.f_contiguous
+            fills = [call for call in calls if call[0] == "fill"]
+            assert all(call[1] is w for call in fills)
+            folds = [call for call in calls if call[0] == "dgeqrf"]
             assert all(call[1] is w and call[2] == (*w.shape, w.shape[0]) and call[3] for call in folds)
-            rest = [call for call in calls if call[0] != "dgeqrf"]
-            assert rest == [("svd", ((cols, cols), False))] + [("svd", ((cols, cols), True))] * (nullity > 0)
+            names = [call[0] for call in calls]
+            gram_pass = ["fill"] * len(starts) + ["eigvalsh"]
+            if certified:
+                assert names == gram_pass
+                assert [call[2] for call in fills] == starts[::-1]
+            else:
+                assert names == gram_pass + ["dgeqrf"] + ["fill", "dgeqrf"] * (len(starts) - 1) + ["svd"]
+                assert [call[2] for call in fills] == starts[::-1] + starts[1:]
+                assert calls[-1] == ("svd", ((cols, cols), True))
+            assert calls[len(starts)] == ("eigvalsh", (cols, cols))
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
@@ -462,6 +514,86 @@ class TestStreamedFactorization:
             tracemalloc.stop()
         assert rank == 3 * n + 1
         assert peak < matrix_bytes / 8
+
+
+def table_consistent_matrix(n, sigma_min, seed):
+    """A float M of shape (2^{n+1}, 3n+1), U diag(sigma) V^T, whose Gram
+    matrix keeps the facts the table check tests, with singular values
+    sqrt(2 - s^2), s and 1 (3n - 1 times) for s = sigma_min.
+
+    Its Gram matrix is I + (1 - s^2)(b e^T + e b^T) for a random unit b with
+    no theta entry and e the theta axis: a unit diagonal, and every nonzero
+    off-diagonal entry in the theta row and column, outside every triple.
+    Its eigenvectors are (b + e)/sqrt 2 and (b - e)/sqrt 2, eigenvalues
+    2 - s^2 and s^2, and anything orthogonal to both, eigenvalue 1."""
+    rng = np.random.default_rng(seed)
+    rows, cols = 2 << n, 3 * n + 1
+    b = np.append(rng.standard_normal(cols - 1), 0.0)
+    b /= np.linalg.norm(b)
+    e = np.eye(cols)[-1]
+    v = np.linalg.qr(np.column_stack([b + e, b - e, rng.standard_normal((cols, cols - 2))]))[0]
+    u = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    sigma = np.concatenate([[np.sqrt(2 - sigma_min**2), sigma_min], np.ones(cols - 2)])
+    return OrbitMatrix(n=n, data=(u * sigma) @ v.T, exact=False)
+
+
+class TestRankCertificate:
+    def spy(self, monkeypatch):
+        """Records each eigvalsh result and each dgeqrf fold."""
+        calls = []
+        eigvalsh, dgeqrf = np.linalg.eigvalsh, np.linalg.lapack_lite.dgeqrf
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(("eigvalsh", eigvalsh(g))) or calls[-1][1])
+        monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", lambda *a: calls.append(("dgeqrf",)) or dgeqrf(*a))
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_well_conditioned_matrix_takes_the_gram_exit(self, monkeypatch, n):
+        calls = self.spy(monkeypatch)
+        assert rank_float(table_consistent_matrix(n, 1e-3, 0)) == 3 * n + 1
+        assert [call[0] for call in calls] == ["eigvalsh"]
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_full_rank_below_the_gram_resolution_falls_back(self, monkeypatch, n):
+        # sigma_min^2 = 1e-18 is below the Gram matrix's rounding, so the
+        # certificate cannot decide, and the TSQR finds sigma_min = 1e-9,
+        # above tol sigma_1 = 1.4e-10
+        calls = self.spy(monkeypatch)
+        assert rank_float(table_consistent_matrix(n, 1e-9, 0)) == 3 * n + 1
+        assert "dgeqrf" in [call[0] for call in calls]
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (10, 1)])
+    def test_rank_deficiency_falls_back(self, monkeypatch, n, seed):
+        # sigma_min = 1e-12 is below tol sigma_1.  The seeds are ones where
+        # the computed lambda_min of the Gram matrix came out positive and
+        # above tol^2 lambda_max, so the certificate refuses only because of
+        # its error bound delta: with delta = 0 it would claim full rank
+        calls = self.spy(monkeypatch)
+        assert rank_float(table_consistent_matrix(n, 1e-12, seed)) == 3 * n
+        lam = calls[0][1]
+        assert lam[0] > DEFAULT_TOL**2 * lam[-1]
+        assert "dgeqrf" in [call[0] for call in calls]
+
+    def test_no_certificate_once_rows_times_u_reaches_a_half(self, monkeypatch):
+        # gamma_m = m u / (1 - m u) is no bound once m u >= 1/2: the guard
+        # refuses before any eigenvalue is computed
+        calls = self.spy(monkeypatch)
+        assert orbit_matrix._certifies_full_rank(np.eye(4), 2**40, DEFAULT_TOL)
+        assert not orbit_matrix._certifies_full_rank(np.eye(4), 2**52, DEFAULT_TOL)
+        assert len(calls) == 1
+
+    def test_same_answers_as_the_tsqr_alone(self, monkeypatch):
+        # every exact family to n = 8 as floats and LU-rotated, and Haar
+        # states n = 1..10: the rank and the kernel projector of factorize
+        # equal those of the TSQR path with the certificate switched off
+        states = [psi for _, *copies in float_copies(8, seed=5) for psi in copies]
+        states += [sample_haar_state(n, 900 + n) for n in range(1, 11)]
+        answers = [factorize(psi) for psi in states]
+        monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", lambda *args: False)
+        for psi, (rank, kernel) in zip(states, answers):
+            tsqr_rank, tsqr_kernel = factorize(psi)
+            assert rank == tsqr_rank
+            assert np.abs(kernel.T @ kernel - tsqr_kernel.T @ tsqr_kernel).max() <= 1e-12
+        assert sum(rank == 3 * psi.n + 1 for psi, (rank, _) in zip(states, answers)) >= 8
 
 
 class TestVerifyIsotropy:

@@ -354,3 +354,43 @@ class TestJsonFormat:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroStateError):
             state_from_json({"n": 1, "amplitudes": [[0, 0], [0, 0]]})
+
+    @pytest.mark.parametrize("amps", [
+        [[1, 0], [0, True]],  # bool is an int, and refused
+        [[1, 0], [0, "1"]],
+        [[1, 0], [0, None]],
+        [[1, 0], [0, np.int64(1)]],  # not a Python int
+        [[1, 0], (0, 1)],  # a tuple pair
+        [[1, 0], [0]],  # ragged pairs
+        [[1, 0], [0, 1, 0]],
+        [[1, 0], 0],
+        ([1, 0], [0, 1]),  # not a list
+        {"0": [1, 0]},
+    ])
+    def test_malformed_float_pairs_refused(self, amps):
+        with pytest.raises(ValueError, match=r"^'amplitudes' must be a list of \[re, im\] pairs of numbers$"):
+            state_from_json({"n": 1, "amplitudes": amps})
+
+    @pytest.mark.parametrize("amps", [
+        [["1", "0"], ["0", 1]],
+        [["1", "0"], ["0", True]],
+        [["1", "0"], ("0", "1")],
+        [["1", "0"], ["0"]],
+    ])
+    def test_malformed_exact_pairs_refused(self, amps):
+        with pytest.raises(ValueError, match=r"^'amplitudes_exact' must be a list of \[re, im\] pairs of strings$"):
+            state_from_json({"n": 1, "amplitudes_exact": amps})
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_wrong_counts_refused(self, count):
+        for key, pair in (("amplitudes", [1, 0]), ("amplitudes_exact", ["1", "0"])):
+            with pytest.raises(ValueError, match=rf"^expected 2\*\*2 amplitudes, got {count}$"):
+                state_from_json({"n": 2, key: [pair] * count})
+        # the pair structure is checked before the count
+        with pytest.raises(ValueError, match="pairs of numbers"):
+            state_from_json({"n": 2, "amplitudes": [[1, 0]] * (count - 1) + [[True, 0]]})
+
+    def test_numpy_floats_and_mixed_numbers_accepted(self):
+        amps = [[np.float64(0.6), 0], [0.0, np.float64(-0.8)]]
+        psi = state_from_json({"n": 1, "amplitudes": amps})
+        assert psi.amps.tolist() == [0.6 + 0j, -0.8j]
