@@ -155,6 +155,28 @@ def default_tolerance() -> float:
     return parse_tolerance(env, "ORBITSCOPE_TOL") if env else DEFAULT_TOL
 
 
+# |x| from which int / int overflows: the midpoint between the largest float
+# and 2**1024, which rounds (to even) up to 2**1024
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _report_floats(kernel: list, n: int) -> list[list[float]]:
+    """Exact kernel vectors as floats: numerator / denominator is Python's
+    correctly rounded integer division, the value float(Fraction) gives.  A
+    coordinate beyond the float range is refused, by its place in the report."""
+    try:
+        return [[x.numerator / x.denominator for x in vec] for vec in kernel]
+    except OverflowError:
+        i, j, x = next((i, j, x) for i, vec in enumerate(kernel) for j, x in enumerate(vec)
+                       if abs(x) >= _FLOAT_OVERFLOW)
+        place = "theta" if j == 3 * n else f"coords[{j // 3}][{j % 3}]"
+        raise UsageError(
+            f"isotropy basis vector {i}: {place} is about "
+            f"10**{math.log10(abs(x.numerator)) - math.log10(x.denominator):.0f}, "
+            "beyond the float range of the JSON report"
+        ) from None
+
+
 def analyze_state(
     psi: PureState,
     tol: float,
@@ -173,10 +195,8 @@ def analyze_state(
             raise UsageError(f"cannot write --dump-matrix {dump_matrix!r}: {exc.strerror or exc}") from exc
     rank, kernel = factorize(psi, tol)
     n, bound = psi.n, min_orbit_bound(psi.n)
-    basis = []
-    for vec in kernel:
-        floats = [float(v) for v in vec]
-        basis.append({"coords": [floats[3 * k : 3 * k + 3] for k in range(n)], "theta": floats[3 * n]})
+    vectors = _report_floats(kernel, n) if psi.is_exact else kernel.tolist()
+    basis = [{"coords": [v[3 * k : 3 * k + 3] for k in range(n)], "theta": v[3 * n]} for v in vectors]
     return {
         "n": n,
         "orbit_dimension": rank - 1,

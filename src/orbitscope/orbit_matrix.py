@@ -315,12 +315,16 @@ def exact_rank_kernel(gram: np.ndarray) -> tuple[int, list[tuple[Fraction, ...]]
                 g = math.gcd(*new)
                 rows[i] = [v // g for v in new] if g else new
         pivots.append(col)
+    # Fraction(a, b) costs a gcd: build one only for a nonzero entry, and
+    # share one zero and one 1
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for fc in (c for c in range(size) if c not in pivots):
-        v = [Fraction(0)] * size
-        v[fc] = Fraction(1)
+        v = [zero] * size
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[r][fc], rows[r][pc])
+            if rows[r][fc]:
+                v[pc] = Fraction(-rows[r][fc], rows[r][pc])
         basis.append(tuple(v))
     return len(pivots), basis
 

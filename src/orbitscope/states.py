@@ -236,16 +236,21 @@ def sample_haar_state(n: int, seed: int) -> PureState:
     return PureState(n=n, amps=amps)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors, as their raveled outer product."""
+    return np.multiply.outer(a, b).ravel()
+
+
 def tensor(psi1: PureState, psi2: PureState) -> PureState:
     """Kronecker product; exact iff both inputs are exact."""
     n = psi1.n + psi2.n
     if not (psi1.is_exact and psi2.is_exact):
-        return PureState(n=n, amps=np.kron(psi1.amps, psi2.amps))
+        return PureState(n=n, amps=_kron(psi1.amps, psi2.amps))
     (a1, b1), (a2, b2) = psi1.num, psi2.num
     if 2 * int(np.abs(psi1.num).max()) * int(np.abs(psi2.num).max()) >= _INT64_MAX:
         # products could reach 2**53, the int64 storage limit: multiply Python ints
         a1, b1, a2, b2 = (x.astype(object) for x in (a1, b1, a2, b2))
-    num = np.stack([np.kron(a1, a2) - np.kron(b1, b2), np.kron(a1, b2) + np.kron(b1, a2)])
+    num = np.stack([_kron(a1, a2) - _kron(b1, b2), _kron(a1, b2) + _kron(b1, a2)])
     return PureState(n=n, num=num, den=psi1.den * psi2.den)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +17,14 @@ from orbitscope.cli import (
     parse_state_spec,
 )
 from orbitscope.lie_action import apply_group, random_local_unitary
+from orbitscope.orbit_matrix import factorize, isotropy_basis
 from orbitscope.states import (
+    MultiIndex,
+    PureState,
+    make_basis,
     make_cat,
     make_singlet_product,
+    make_singlet_product_plus_zero,
     sample_haar_state,
     state_to_json,
 )
@@ -357,6 +363,75 @@ class TestAnalyze:
         for argv in (["--help"], ["analyze", "--help"]):
             proc = subprocess.run([sys.executable, "-m", "orbitscope.cli", *argv], capture_output=True, text=True)
             assert proc.returncode == 0 and proc.stdout.startswith("usage: orbitscope") and proc.stderr == ""
+
+
+def report_values(report) -> list:
+    """A report's isotropy basis, flattened in kernel-vector order."""
+    return [[c for triple in vec["coords"] for c in triple] + [vec["theta"]] for vec in report["isotropy_basis"]]
+
+
+def big_numerator_state() -> PureState:
+    """A 2-qubit exact state with ~80-bit numerators over 27-bit
+    denominators, whose one kernel vector has numerators far above 2**53."""
+    pairs = [("-1763940113627469219751/44476601", "0"), ("0", "3394232932237133470361/3469391"),
+             ("-9512826545413103049591/96359081", "-5612541209131806812321/85201127"),
+             ("1264101347125567003391/49183399", "0")]
+    return PureState.from_exact([(Fraction(re), Fraction(im)) for re, im in pairs])
+
+
+class TestReportFloats:
+    def exact_states(self):
+        states = [make_singlet_product(k) for k in range(1, 6)]
+        states += [make_singlet_product_plus_zero(k) for k in range(1, 6)]
+        states += [make_cat(n) for n in range(3, 9)]
+        states += [make_basis(MultiIndex(tuple(int(b) for b in ("01" * n)[:n]))) for n in range(2, 9)]
+        return states + [big_numerator_state()]
+
+    def test_exact_coordinates_are_float_of_the_fractions(self):
+        for psi in self.exact_states():
+            expected = [
+                [float(c) for co in elem.x.coords for c in (co.t, co.r, co.s)] + [float(elem.theta)]
+                for elem in isotropy_basis(psi)
+            ]
+            got = report_values(cli.analyze_state(psi, default_tolerance()))
+            assert got == expected and all(type(v) is float for vec in got for v in vec)
+        kernel = factorize(big_numerator_state())[1]
+        assert any(abs(x.numerator) > 2**53 and x.denominator > 1 for vec in kernel for x in vec)
+
+    def test_float_coordinates_are_the_kernel_entries(self):
+        rng = np.random.default_rng(8)
+        for base in (make_singlet_product(2), make_singlet_product(3), make_singlet_product_plus_zero(2)):
+            psi = apply_group(random_local_unitary(base.n, rng), base)
+            kernel = factorize(psi)[1]
+            assert len(kernel) > 0
+            got = report_values(cli.analyze_state(psi, default_tolerance()))
+            assert got == [[float(v) for v in vec] for vec in kernel]
+            assert all(type(v) is float for vec in got for v in vec)
+
+    def test_coordinate_beyond_float_range_refused(self, capsys, tmp_path):
+        # the kernel holds a coordinate near 10**600, which no float represents
+        big, tiny = str(10**300), "1/" + str(10**330)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 2, "amplitudes_exact": [[big, "1"], [tiny, "-1"], [tiny, "0"], ["0", "1"]]}))
+        err = usage_error(capsys, "analyze", "--state", f"file:{path}")
+        assert err == (
+            "error: isotropy basis vector 0: coords[0][0] is about 10**600, "
+            "beyond the float range of the JSON report\n"
+        )
+
+    def test_float_range_edge(self, capsys, monkeypatch):
+        # int / int rounds to the largest float below 2**1024 - 2**970 and
+        # overflows from there up; the refusal names the coordinate
+        limit = 2**1024 - 2**970
+        one, zero = Fraction(1), Fraction(0)
+        below = (one, zero, zero, zero, zero, zero, Fraction(-(3 * limit - 1), 3))
+        monkeypatch.setattr(cli, "factorize", lambda psi, tol: (6, [below]))
+        report = cli.analyze_state(make_singlet_product(1), default_tolerance())
+        assert report["isotropy_basis"][0]["theta"] == -sys.float_info.max
+        above = (one, zero, zero, zero, Fraction(3 * limit + 1, 3), zero, one)
+        monkeypatch.setattr(cli, "factorize", lambda psi, tol: (5, [below, below, above]))
+        err = usage_error(capsys, "analyze", "--state", "singlet*1")
+        assert err.startswith("error: isotropy basis vector 2: coords[1][1] is about 10**308,")
 
 
 class TestSweep:

@@ -23,6 +23,7 @@ from orbitscope.orbit_matrix import (
     build_matrix,
     dump_csv,
     exact_nullspace,
+    exact_rank_kernel,
     factorize,
     isotropy_basis,
     min_orbit_bound,
@@ -301,6 +302,87 @@ class TestRankExact:
         m = build_matrix(sample_haar_state(2, 0))
         with pytest.raises(ExactPathError):
             rank_exact(m)
+
+
+def reference_rank_kernel(gram):
+    """The fraction-free Gauss-Jordan elimination of `exact_rank_kernel`,
+    with a kernel read-off that builds Fraction(-a, b) for every pivot entry,
+    zero or not."""
+    rows = gram.tolist()
+    size = len(rows)
+    pivots = []
+    for col in range(size):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, size) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        for i in range(size):
+            f = rows[i][col]
+            if i != r and f:
+                new = [rows[r][col] * v - f * w for v, w in zip(rows[i], rows[r])]
+                g = math.gcd(*new)
+                rows[i] = [v // g for v in new] if g else new
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(size) if c not in pivots):
+        v = [Fraction(0)] * size
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = Fraction(-rows[r][fc], rows[r][pc])
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+def theorem_family_states():
+    """The theorem families with exact amplitudes, n = 2..11: singlet
+    products, singlet products with |0>, cat states and two basis states per n."""
+    states = [make_singlet_product(k) for k in range(1, 6)]
+    states += [make_singlet_product_plus_zero(k) for k in range(1, 6)]
+    states += [make_cat(n) for n in range(3, 9)]
+    for n in range(2, 9):
+        for bits in (("01" * n)[:n], ("110" * n)[:n]):
+            states.append(make_basis(MultiIndex(tuple(map(int, bits)))))
+    return states
+
+
+def random_integer_grams(seed):
+    """A^T A for sparse random integer A with fewer rows than columns, so the
+    kernel is nontrivial: int64 Grams from small entries and object Grams,
+    entries beyond 2**63, from entries near 2**40."""
+    rng = np.random.default_rng(seed)
+    for trial in range(40):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(2, 12))
+        bound = 2**40 if trial % 2 else 30
+        a = rng.integers(-bound, bound, (rows, cols)) * (rng.random((rows, cols)) < 0.6)
+        yield object_gram(a) if trial % 2 else a.T @ a
+
+
+class TestExactReadOff:
+    def assert_same_read_off(self, gram):
+        rank, kernel = exact_rank_kernel(gram)
+        assert (rank, kernel) == reference_rank_kernel(gram)
+        for vec in kernel:
+            assert all(type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1 for x in vec)
+            assert all(x == Fraction(0) for x in vec if not x)
+        return kernel
+
+    def test_theorem_family_grams(self):
+        entries = []
+        for psi in theorem_family_states():
+            entries += [x for vec in self.assert_same_read_off(build_matrix(psi).gram) for x in vec]
+        # pivot entries of both signs and zeros all occur
+        assert {-1, 0, 1} <= set(entries)
+
+    def test_random_integer_grams(self):
+        tiers, entries = set(), []
+        for gram in random_integer_grams(seed=11):
+            tiers.add(gram.dtype)
+            if gram.dtype == object:
+                assert max(abs(v) for v in gram.ravel()) >= 2**63
+            entries += [x for vec in self.assert_same_read_off(gram) for x in vec]
+        assert tiers == {np.dtype(np.int64), np.dtype(object)}
+        assert any(x.denominator > 1 for x in entries) and any(x < 0 for x in entries)
 
 
 class TestOrbitDimension:

@@ -198,6 +198,42 @@ class TestTensor:
         assert exact_pairs(psi) == expected
         assert np.array_equal(psi.amps, [complex(float(a), float(b)) for a, b in expected])
 
+    def test_float_equals_kron(self):
+        for n1, n2 in ((1, 2), (2, 3), (3, 1), (2, 2)):
+            a, b = sample_haar_state(n1, 10 * n1 + n2), sample_haar_state(n2, 20 * n1 + n2)
+            assert np.array_equal(tensor(a, b).amps, np.kron(a.amps, b.amps))
+
+    @pytest.mark.parametrize("bound1, bound2", [
+        (50, 9),  # int64 throughout
+        (2**26, 2**25),  # products below 2**53 whatever the signs: int64
+        (2**26 + 1, 2**26),  # products may cross 2**53: Python ints, stored by value
+        (2**30, 2**30),  # products beyond 2**53: object
+        (2**60, 5),  # an object factor
+    ])
+    def test_exact_equals_kron(self, bound1, bound2):
+        rng = np.random.default_rng(bound1 % 1000 + bound2)
+        factors = []
+        for n, bound in ((2, bound1), (1, bound2)):
+            num = np.array([[int(v) for v in rng.integers(-bound, bound + 1, 1 << n)] for _ in range(2)], dtype=object)
+            num[:, 0] = bound  # the bound is reached
+            factors.append(PureState(n=n, num=num, den=int(rng.integers(1, 50))))
+        psi = tensor(*factors)
+        (a1, b1), (a2, b2) = (f.num.astype(object) for f in factors)
+        expected = np.stack([np.kron(a1, a2) - np.kron(b1, b2), np.kron(a1, b2) + np.kron(b1, a2)])
+        assert psi.num.tolist() == expected.tolist()
+        assert psi.den == factors[0].den * factors[1].den
+        small = max(abs(v) for v in expected.ravel()) < 2**53
+        assert psi.num.dtype == (np.int64 if small else object)
+
+    def test_exact_storage_switch_at_2_53(self):
+        # |0> + k|1> on each side: the largest product is exactly k1 * k2
+        for k1, k2, dtype in ((2**26, 2**27 - 1, np.int64), (2**26, 2**27, object)):
+            left = PureState(n=1, num=[[1, k1], [0, 0]])
+            right = PureState(n=1, num=[[2, k2], [0, 0]])
+            psi = tensor(left, right)
+            assert psi.num.dtype == dtype
+            assert psi.num.tolist() == [[2, k2, 2 * k1, k1 * k2], [0, 0, 0, 0]]
+
     def test_norm_multiplicative(self):
         a = sample_haar_state(2, 1)
         b = sample_haar_state(3, 2)
