@@ -1,7 +1,8 @@
 """Command-line front end: analyze states, sweep random families, and run
 the verification suites.  All output is machine-readable: reports are JSON
 written by Python's `json` module.  Exit codes are 0 = success,
-1 = verification failure, 2 = usage or input error.  Every usage or input
+1 = verification failure, 2 = usage or input error, 141 = stdout closed
+early (128 + SIGPIPE, as `sweep | head` does).  Every usage or input
 error is raised as a `UsageError` and reported by `main` alone, as one
 `error: <message>` line on stderr.
 """
@@ -50,6 +51,7 @@ from .states import (
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 # Peak bytes per amplitude while a state is built, measured with tracemalloc
 # at n = 16: 34 (Haar), 50 (cat, basis), 58 (singlet*8), 68 (singlet*7+0).
@@ -125,7 +127,8 @@ def parse_state_spec(spec: str) -> PureState:
                 if qubits:
                     check_capacity(qubits(match))
                 return builder(match)
-            except (ValueError, OverflowError, OSError) as exc:
+            # RecursionError: json.load of a deeply nested file
+            except (ValueError, OverflowError, OSError, RecursionError) as exc:
                 raise SpecParseError(f"bad state spec {spec!r}: {exc}") from exc
     head = spec.split(":")[0].split("*")[0]
     raise SpecParseError(
@@ -389,15 +392,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; a UsageError from any stage is reported here, as the
     one `error:` line on stderr, and exits 2.  `--help` exits 0 through
-    argparse's SystemExit."""
+    argparse's SystemExit.  A reader that closes stdout early ends the
+    command with exit 141 and nothing on stderr; no signal handler is
+    installed, so an in-process caller keeps its own."""
     try:
         args = build_parser().parse_args(argv)
         if hasattr(args, "tol"):  # verify has no tolerance
             args.tol = default_tolerance() if args.tol is None else parse_tolerance(args.tol)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's fd now writes to devnull, so the flush at shutdown cannot
+        # raise again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -190,35 +190,52 @@ def _certifies_full_rank(g: np.ndarray, rows: int, tol: float) -> bool:
     """Whether the float Gram matrix g = fl(M^T M) of a real M with `rows`
     rows proves that every singular value of M exceeds tol times the largest.
 
-    With u = 2**-53 and gamma_m = m u / (1 - m u), each entry of g is an
-    inner product of length m = rows, so |g - M^T M| <= gamma_m |M|^T |M|
-    entrywise, whatever the order of summation (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 3.5), and
-    ||g - M^T M||_2 <= gamma_m || |M| ||_F^2 = gamma_m trace(M^T M).  The
-    computed eigenvalues of g are those of g + F with ||F||_2 a small
-    multiple of cols u ||g||_2 (backward stability of the symmetric
-    eigensolver); (3n+1)^2 u trace(g) = cols^2 u trace(g) bounds that
-    generously, and absorbs the difference between trace(M^T M) and
-    trace(g), a factor 1 + O(gamma_m), and the rounding of the test below.
-    So by Weyl's inequality every eigenvalue of M^T M lies within
-        delta = (gamma_m + cols^2 u) trace(g)
-    of the computed one, and lambda_min - delta > tol^2 (lambda_max + delta)
-    proves sigma_min^2 > tol^2 sigma_1^2.
+    With u = 2**-53, gamma_k = k u / (1 - k u) and c = cols, each entry of g
+    is an inner product of length m = rows, so |g - M^T M| <= gamma_m
+    |M|^T |M| entrywise, whatever the order of summation (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.5), and
+    ||g - M^T M||_2 <= gamma_m trace(M^T M).  Let
+        delta = (gamma_m + c^2 u) trace(g),  s = 2 delta + tol^2 (trace(g) + delta).
+
+    The proof is one Cholesky factorization of a = fl(g - s I) (Rump,
+    Verification of positive definiteness, BIT 46, 2006).  If it completes
+    with a finite factor L, then L L^T = a + E with |E| <= gamma_{c+1}
+    |L| |L^T| (Higham, Thm 10.3), so ||E||_2 <= gamma_{c+1} ||L||_F^2 <=
+    gamma_{c+1} trace(a) / (1 - gamma_{c+1}); and L L^T is positive
+    definite, so lambda_min(a) > -||E||_2.  Every pivot was positive, so
+    s < g_ii for each i, and the shift, rounded on the diagonal alone, moves
+    each eigenvalue by at most u max_i g_ii.  Both errors are below
+    (c + 2) u trace(g), within half the c^2 u trace(g) term of delta for
+    c = 3n + 1 >= 4; the other half absorbs the rounding of trace(g) and of
+    s, and the gap between trace(g) and trace(M^T M).  So
+        lambda_min(M^T M) > s - delta = delta + tol^2 (trace(g) + delta)
+                          >= delta + tol^2 sigma_1^2,
+    as sigma_1^2 <= trace(M^T M) <= trace(g) + delta: full rank.  A
+    LinAlgError (a non-positive pivot) means only that g cannot decide;
+    LAPACK lets a NaN pivot through, so a factor that is not finite
+    decides nothing either.  Numpy's Cholesky reads the lower triangle of
+    the symmetric g.
 
     The test only ever says yes: g resolves sigma to about sqrt(u) sigma_1,
     much coarser than tol, so a rank deficiency or a near-tolerance state is
-    left to the TSQR.  Where it says yes, sigma_min > sqrt(delta) >=
-    cols sqrt(u) sigma_1 (trace(g) >= sigma_1^2), at least 400 tol sigma_1
-    (4e3 at n = 12), far beyond the TSQR's own rounding, so the TSQR would
-    have found full rank too.
+    left to the TSQR.  Where it says yes, sigma_min^2 > delta >= c^2 u
+    trace(M^T M) >= c^2 u sigma_1^2, so sigma_min > c sqrt(u) sigma_1, at
+    least 400 tol sigma_1 (4e3 at n = 12): a theorem, far beyond the TSQR's
+    own rounding, so the TSQR would have found full rank too.
     """
     u = 2.0**-53
     cols, mu = g.shape[0], rows * u
     if mu >= 0.5:  # gamma_m is no bound at all this close to m u = 1
         return False
-    lam = np.linalg.eigvalsh(g)
-    delta = (mu / (1 - mu) + cols * cols * u) * np.trace(g)
-    return bool(lam[0] - delta > tol * tol * (lam[-1] + delta))
+    trace = g.trace()
+    delta = (mu / (1 - mu) + cols * cols * u) * trace
+    a = g.copy()
+    a.reshape(-1)[:: cols + 1] -= 2 * delta + tol * tol * (trace + delta)  # the diagonal
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
@@ -341,10 +358,10 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     block by block, after the Gram matrix is checked against the
     inner-product table.
 
-    Float state (`_factorize_float`): the float Gram matrix, whose
-    eigenvalues prove full rank for almost every state; when they cannot,
-    TSQR and one SVD of the (3n+1)^2 factor R, tol deciding the rank from
-    its singular values.  The kernel is an orthonormal array of row vectors.
+    Float state (`_factorize_float`): the float Gram matrix, whose shifted
+    Cholesky factorization proves full rank for almost every state; when it
+    cannot, TSQR and one SVD of the (3n+1)^2 factor R, tol deciding the rank
+    from its singular values.  The kernel is an orthonormal array of row vectors.
     Exact state: the integer Gram matrix summed over the blocks (`_gram`)
     and eliminated with no tolerance (`_factorize_exact`); the kernel is a
     list of Fraction tuples.

@@ -8,6 +8,7 @@ import pytest
 
 from orbitscope import cli
 from orbitscope.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_OK,
     EXIT_USAGE,
     SpecParseError,
@@ -318,6 +319,8 @@ class TestAnalyze:
             '{"n": 1, "amplitudes_exact": [["1", "0"], [["1"], "0"]]}',
             # 2**n is never formed: the list's length is checked first
             '{"n": 1099511627776, "amplitudes": [[1, 0], [0, 0]]}',
+            # json.load gives up with a RecursionError, not a ValueError
+            pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
         ],
     )
     def test_malformed_state_file_rejected(self, capsys, tmp_path, text):
@@ -547,6 +550,23 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["orbit_dimension"] == 7
+
+
+def test_stdout_closed_early_exits_141_quietly():
+    # `sweep | head -1`: the reader closes the pipe after the first line,
+    # long before the ~200 kB of output is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitscope.cli", "sweep", "--n", "6", "--samples", "2000", "--seed", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+    assert json.loads(first)["sample"] == 0
 
 
 def test_float_commands_run_without_scipy():

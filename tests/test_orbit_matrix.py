@@ -470,11 +470,12 @@ class TestIsotropy:
 
     def test_one_factorization_per_float_analysis(self, monkeypatch):
         # one pass of the row blocks, last to first, into the block region of
-        # one F-ordered workspace sums the Gram matrix; one eigvalsh of it
-        # decides a full rank with no QR and no SVD.  Otherwise one in-place
-        # dgeqrf of numpy's LAPACK per row block on that same workspace, the
-        # first block left there by the Gram pass, and then one full SVD of
-        # the (3n+1)^2 factor R; no QR copy or stacked copy
+        # one F-ordered workspace sums the Gram matrix; one Cholesky
+        # factorization of it, shifted, decides a full rank with no QR and
+        # no SVD.  Otherwise one in-place dgeqrf of numpy's LAPACK per row
+        # block on that same workspace, the first block left there by the
+        # Gram pass, and then one full SVD of the (3n+1)^2 factor R; no QR
+        # copy or stacked copy
         calls = []
         build = orbit_matrix._build_real
         original_dgeqrf = np.linalg.lapack_lite.dgeqrf
@@ -497,7 +498,7 @@ class TestIsotropy:
 
         monkeypatch.setattr(orbit_matrix, "_build_real", fill)
         monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", dgeqrf)
-        record(np.linalg, "eigvalsh", lambda a, *args, **kw: a.shape)
+        record(np.linalg, "cholesky", lambda a, *args, **kw: a.shape)
         record(np.linalg, "svd", lambda a, *args, compute_uv=True, **kw: (a.shape, compute_uv))
         record(np.linalg, "qr", lambda a, *args, **kw: a.shape)
         record(np, "vstack", lambda arrays, *args, **kw: len(arrays))
@@ -520,7 +521,7 @@ class TestIsotropy:
             folds = [call for call in calls if call[0] == "dgeqrf"]
             assert all(call[1] is w and call[2] == (*w.shape, w.shape[0]) and call[3] for call in folds)
             names = [call[0] for call in calls]
-            gram_pass = ["fill"] * len(starts) + ["eigvalsh"]
+            gram_pass = ["fill"] * len(starts) + ["cholesky"]
             if certified:
                 assert names == gram_pass
                 assert [call[2] for call in fills] == starts[::-1]
@@ -528,7 +529,7 @@ class TestIsotropy:
                 assert names == gram_pass + ["dgeqrf"] + ["fill", "dgeqrf"] * (len(starts) - 1) + ["svd"]
                 assert [call[2] for call in fills] == starts[::-1] + starts[1:]
                 assert calls[-1] == ("svd", ((cols, cols), True))
-            assert calls[len(starts)] == ("eigvalsh", (cols, cols))
+            assert calls[len(starts)] == ("cholesky", (cols, cols))
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
@@ -619,12 +620,61 @@ def table_consistent_matrix(n, sigma_min, seed):
     return OrbitMatrix(n=n, data=(u * sigma) @ v.T, exact=False)
 
 
+def certificate_delta(g, rows):
+    """delta = (gamma_m + cols^2 u) trace(g), m = rows, of `_certifies_full_rank`."""
+    mu = rows * 2.0**-53
+    return (mu / (1 - mu) + len(g) ** 2 * 2.0**-53) * np.trace(g)
+
+
+def eigenvalue_rule(g, rows, tol):
+    """The certificate's earlier decision, a test-only oracle: every
+    eigenvalue of M^T M lies within delta of the one eigvalsh computes, and
+    lambda_min - delta > tol^2 (lambda_max + delta) proves full rank."""
+    if rows * 2.0**-53 >= 0.5:
+        return False
+    lam, delta = np.linalg.eigvalsh(g), certificate_delta(g, rows)
+    return bool(lam[0] - delta > tol * tol * (lam[-1] + delta))
+
+
+def certificate_shift(g, rows, tol):
+    """The shift s = 2 delta + tol^2 (trace(g) + delta) of `_certifies_full_rank`."""
+    delta = certificate_delta(g, rows)
+    return 2 * delta + tol * tol * (np.trace(g) + delta)
+
+
+def factorizes(a) -> bool:
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 class TestRankCertificate:
     def spy(self, monkeypatch):
-        """Records each eigvalsh result and each dgeqrf fold."""
+        """Records each certificate as ("certificate", g, rows, tol, answer),
+        each Cholesky factorization as ("cholesky", completed) and each
+        dgeqrf fold as ("dgeqrf",)."""
         calls = []
-        eigvalsh, dgeqrf = np.linalg.eigvalsh, np.linalg.lapack_lite.dgeqrf
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(("eigvalsh", eigvalsh(g))) or calls[-1][1])
+        certify, cholesky = orbit_matrix._certifies_full_rank, np.linalg.cholesky
+        dgeqrf = np.linalg.lapack_lite.dgeqrf
+
+        def recorded_certify(g, rows, tol):
+            call = ["certificate", g.copy(), rows, tol]
+            calls.append(call)
+            call.append(certify(g, rows, tol))
+            return call[-1]
+
+        def recorded_cholesky(a):
+            try:
+                factor = cholesky(a)
+            except np.linalg.LinAlgError:
+                calls.append(("cholesky", False))
+                raise
+            calls.append(("cholesky", True))
+            return factor
+
+        monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", recorded_certify)
+        monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
         monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", lambda *a: calls.append(("dgeqrf",)) or dgeqrf(*a))
         return calls
 
@@ -632,7 +682,8 @@ class TestRankCertificate:
     def test_well_conditioned_matrix_takes_the_gram_exit(self, monkeypatch, n):
         calls = self.spy(monkeypatch)
         assert rank_float(table_consistent_matrix(n, 1e-3, 0)) == 3 * n + 1
-        assert [call[0] for call in calls] == ["eigvalsh"]
+        assert [call[0] for call in calls] == ["certificate", "cholesky"]
+        assert calls[1] == ("cholesky", True)
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_full_rank_below_the_gram_resolution_falls_back(self, monkeypatch, n):
@@ -641,27 +692,77 @@ class TestRankCertificate:
         # above tol sigma_1 = 1.4e-10
         calls = self.spy(monkeypatch)
         assert rank_float(table_consistent_matrix(n, 1e-9, 0)) == 3 * n + 1
-        assert "dgeqrf" in [call[0] for call in calls]
+        assert ("cholesky", False) in calls and ("dgeqrf",) in calls
 
     @pytest.mark.parametrize("n, seed", [(3, 0), (10, 1)])
     def test_rank_deficiency_falls_back(self, monkeypatch, n, seed):
-        # sigma_min = 1e-12 is below tol sigma_1.  The seeds are ones where
-        # the computed lambda_min of the Gram matrix came out positive and
-        # above tol^2 lambda_max, so the certificate refuses only because of
-        # its error bound delta: with delta = 0 it would claim full rank
+        # sigma_min = 1e-12 is below tol sigma_1
         calls = self.spy(monkeypatch)
         assert rank_float(table_consistent_matrix(n, 1e-12, seed)) == 3 * n
-        lam = calls[0][1]
-        assert lam[0] > DEFAULT_TOL**2 * lam[-1]
-        assert "dgeqrf" in [call[0] for call in calls]
+        assert calls[0][-1] is False and ("cholesky", False) in calls and ("dgeqrf",) in calls
+
+    @pytest.mark.parametrize("n, seed", [(3, 9), (10, 1)])
+    def test_refusal_rests_on_the_error_bound(self, monkeypatch, n, seed):
+        # sigma_min = 1e-12 again, at seeds where the Gram matrix shifted by
+        # tol^2 trace(g) alone still has a Cholesky factorization: the
+        # certificate refuses only because of its error bound delta, and
+        # with delta = 0 it would claim full rank
+        calls = self.spy(monkeypatch)
+        assert rank_float(table_consistent_matrix(n, 1e-12, seed)) == 3 * n
+        _, g, rows, tol, answer = calls[0]
+        assert not answer
+        assert factorizes(g - tol * tol * np.trace(g) * np.eye(len(g)))
 
     def test_no_certificate_once_rows_times_u_reaches_a_half(self, monkeypatch):
         # gamma_m = m u / (1 - m u) is no bound once m u >= 1/2: the guard
-        # refuses before any eigenvalue is computed
+        # refuses before anything is factorized
         calls = self.spy(monkeypatch)
         assert orbit_matrix._certifies_full_rank(np.eye(4), 2**40, DEFAULT_TOL)
         assert not orbit_matrix._certifies_full_rank(np.eye(4), 2**52, DEFAULT_TOL)
-        assert len(calls) == 1
+        assert [call for call in calls if call[0] == "cholesky"] == [("cholesky", True)]
+
+    def test_nan_never_certifies(self):
+        # LAPACK's Cholesky lets a NaN pivot through without an error
+        assert not orbit_matrix._certifies_full_rank(np.full((4, 4), np.nan), 8, DEFAULT_TOL)
+        for entry in ((0, 0), (3, 3), (2, 0)):
+            g = np.eye(4)
+            g[entry] = g[entry[::-1]] = np.nan
+            assert not orbit_matrix._certifies_full_rank(g, 8, DEFAULT_TOL), entry
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_smallest_eigenvalue_just_above_or_below_the_shift(self, above):
+        # g = Q diag(lam) Q^T with its smallest eigenvalue, on the all-ones
+        # direction, at 1.01 s or at 0.99 s.  A large row count and tol make
+        # 2 delta and tol^2 (trace(g) + delta) each about half of s, so
+        # either term decides.  s is a fixed multiple alpha of trace(g) =
+        # rest + lam_min, so lam_min = f alpha (rest + lam_min), f = 1.01 or
+        # 0.99
+        cols, rows, tol = 10, 2**43, 0.04
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(np.column_stack([np.ones(cols), rng.standard_normal((cols, cols - 1))]))[0]
+        rest = rng.uniform(1, 2, cols - 1)
+        f = 1.01 if above else 0.99
+        alpha = certificate_shift(np.eye(cols), rows, tol) / cols
+        lam = np.append(f * alpha * rest.sum() / (1 - f * alpha), rest)
+        g = (q * lam) @ q.T
+        g = (g + g.T) / 2
+        assert (np.linalg.eigvalsh(g)[0] > certificate_shift(g, rows, tol)) == above
+        assert orbit_matrix._certifies_full_rank(g, rows, tol) == above
+
+    def test_same_decisions_as_the_eigenvalue_rule(self, monkeypatch):
+        # every exact family to n = 8 as floats and LU-rotated, and Haar
+        # states n = 1..12: the Cholesky certificate decides as the
+        # eigenvalue rule did on the same Gram matrix
+        calls = self.spy(monkeypatch)
+        states = [psi for _, *copies in float_copies(8, seed=5) for psi in copies]
+        states += [sample_haar_state(n, 900 + n) for n in range(1, 13)]
+        for psi in states:
+            factorize(psi)
+        decisions = [call for call in calls if call[0] == "certificate"]
+        assert len(decisions) == len(states)
+        for _, g, rows, tol, answer in decisions:
+            assert answer == eigenvalue_rule(g, rows, tol)
+        assert sum(call[-1] for call in decisions) >= 10
 
     def test_same_answers_as_the_tsqr_alone(self, monkeypatch):
         # every exact family to n = 8 as floats and LU-rotated, and Haar
