@@ -264,7 +264,7 @@ def _verify_theorem(n_max: int):
         psi = make_singlet_product_plus_zero((n - 1) // 2)
         dim = factorize(psi)[0] - 1
         yield f"singlet^{(n - 1) // 2}+|0> (n={n}) orbit dim {dim} == {(3 * n + 1) // 2}", dim == (3 * n + 1) // 2
-    for n in range(3, min(n_max, 8) + 1):
+    for n in range(3, n_max + 1):
         dim = factorize(make_cat(n))[0] - 1
         yield f"cat:{n} orbit dim {dim} > bound {min_orbit_bound(n)}", dim > min_orbit_bound(n)
 

@@ -78,12 +78,12 @@ class IsotropyElement:
     theta: float | Fraction
 
 
-def _build_real(re: np.ndarray, im: np.ndarray, n: int, lo: int, hi: int, out: np.ndarray) -> None:
-    """The rows of M for amplitude indices lo .. hi - 1, from the bit formulas,
-    written transposed into `out` of shape (3n+1, 2, hi - lo) and any dtype
-    (float or integer): out[col, 0, j] and out[col, 1, j] are column col of
-    the real and imaginary rows of amplitude lo + j, rows 2(lo+j) and
-    2(lo+j) + 1 of M.
+def _build_real(re: np.ndarray, im: np.ndarray, n: int, rows, out: np.ndarray) -> None:
+    """The rows of M for the amplitude indices `rows` (a slice lo:hi or an
+    index array), from the bit formulas, written transposed into `out` of
+    shape (3n+1, 2, len(rows)) and any dtype (float or integer): out[col, 0,
+    j] and out[col, 1, j] are column col of the real and imaginary rows of
+    amplitude I = rows[j], rows 2I and 2I + 1 of M.
 
     Those rows hold component I of the columns A_k psi = i (-1)^{i_k} c_I,
     B_k psi = (-1)^{i_k} c_{I_k}, C_k psi = i c_{I_k} for k = 1..n, and
@@ -96,13 +96,13 @@ def _build_real(re: np.ndarray, im: np.ndarray, n: int, lo: int, hi: int, out: n
     basis matrices, kept as bit formulas on purpose: this is the streamed
     hot path of M, and it writes any dtype in place, row block by row block.
     """
-    idx = np.arange(lo, hi)
+    idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
     bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index
     one = out.dtype.type(1)
-    sign = np.where(idx & bit, -one, one)  # (-1)^{i_k}, shape (n, hi - lo)
+    sign = np.where(idx & bit, -one, one)  # (-1)^{i_k}, shape (n, len(rows))
     flip = idx ^ bit
     re_f, im_f = re[flip], im[flip]  # c_{I_k}
-    re, im = re[lo:hi], im[lo:hi]
+    re, im = re[rows], im[rows]
     t, r, s = out[0 : 3 * n : 3], out[1 : 3 * n : 3], out[2 : 3 * n : 3]
     np.multiply(sign, -im, out=t[:, 0])
     np.multiply(sign, re, out=t[:, 1])
@@ -121,18 +121,17 @@ def _parts(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _state_fill(psi: PureState):
-    """Fill function (lo, hi, out) that builds the rows of M (den * M for an
-    exact state) for amplitudes lo .. hi - 1 into `out` (`_build_real`)."""
+    """Fill function (rows, out) that builds the rows of M (den * M for an
+    exact state) for the amplitude indices `rows` into `out` (`_build_real`)."""
     re, im = _parts(psi)
-    return lambda lo, hi, out: _build_real(re, im, psi.n, lo, hi, out)
+    return lambda rows, out: _build_real(re, im, psi.n, rows, out)
 
 
 def _matrix_fill(data: np.ndarray):
-    """Fill function that copies the rows of a given M for amplitudes
-    lo .. hi - 1 into `out`, transposed as `_build_real` writes them."""
-    return lambda lo, hi, out: np.copyto(
-        out, data[2 * lo : 2 * hi].reshape(hi - lo, 2, -1).transpose(2, 1, 0)
-    )
+    """Fill function that copies the rows of a given M for the amplitude
+    indices `rows` into `out`, transposed as `_build_real` writes them."""
+    by_amp = data.reshape(-1, 2, data.shape[1])
+    return lambda rows, out: np.copyto(out, by_amp[rows].transpose(2, 1, 0))
 
 
 def build_matrix(psi: PureState) -> OrbitMatrix:
@@ -141,7 +140,7 @@ def build_matrix(psi: PureState) -> OrbitMatrix:
     re, im = _parts(psi)
     n, dim = psi.n, 1 << psi.n
     out = np.empty((3 * n + 1, 2, dim), dtype=np.result_type(re, im))
-    _build_real(re, im, n, 0, dim, out)
+    _build_real(re, im, n, slice(0, dim), out)
     data = out.transpose(2, 1, 0).reshape(2 * dim, 3 * n + 1)
     return OrbitMatrix(n=n, data=data, exact=psi.is_exact, den=psi.den)
 
@@ -268,39 +267,63 @@ def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     starts = range(0, 1 << n, amps)
     g = 0
     for lo in reversed(starts):
-        fill(lo, lo + amps, block)
+        fill(slice(lo, lo + amps), block)
         g = g + t @ t.T
     _check_gram(g, GRAM_RTOL)
     if _certifies_full_rank(g, 2 << n, tol):
         return cols, np.zeros((0, cols))
     for lo in starts:
         if lo:
-            fill(lo, lo + amps, block)
+            fill(slice(lo, lo + amps), block)
         _qr_in_place(w)
     _, s, vt = np.linalg.svd(w[:cols])
     rank = _sigma_rank(s, tol)
     return rank, vt[rank:]
 
 
-def _gram(fill, n: int, maxabs: int) -> np.ndarray:
+def _live_rows(num: np.ndarray, n: int) -> np.ndarray | None:
+    """The amplitude indices L = supp psi + {I ^ e_k : I in supp psi} of the
+    rows of M that can be nonzero, ascending, for Gaussian-integer numerators
+    `num`; None when L need not be smaller than all 2^n indices.
+
+    Row I of M holds only c_I and its single flips c_{I_k} (`_build_real`),
+    so it is zero unless I or some I_k lies in the support.  L is marked in
+    one boolean array over the indices, which costs less memory than sorting
+    the flips into a unique list.
+    """
+    mark = num[0] != 0
+    mark |= num[1] != 0
+    support = np.flatnonzero(mark)
+    if support.size * (n + 1) >= mark.size:
+        return None
+    mark[support ^ (1 << np.arange(n)[:, None])] = True
+    return np.flatnonzero(mark)
+
+
+def _gram(fill, n: int, maxabs: int, live: np.ndarray | None = None) -> np.ndarray:
     """(den M)^T (den M) over the integers, summed over the row blocks of
-    den M that `fill` writes, for entries of magnitude at most `maxabs`.
+    den M that `fill` writes, for entries of magnitude at most `maxabs`:
+    the rows of the amplitude indices `live` in chunks of BLOCK_AMPS, or of
+    all 2^n amplitudes when `live` is None.  Rows left out must be zero.
 
     Each block T, filled transposed, adds T T^T.  While rows * maxabs^2 <
-    2**53, with rows = 2^{n+1}, every product and partial sum is an integer
-    that float64 holds exactly, so the sum runs in float64 through BLAS and
-    is converted once; int64 while rows * maxabs^2 < 2**62; object ints
-    otherwise.  rank(M^T M) = rank(M) and ker(M^T M) = ker(M) for real M,
-    and the Gram matrix is only (3n+1) x (3n+1).
+    2**53, with rows = 2 |live| (2^{n+1} for all amplitudes), every product
+    and partial sum is an integer that float64 holds exactly, so the sum
+    runs in float64 through BLAS and is converted once; int64 while rows *
+    maxabs^2 < 2**62; object ints otherwise.  rank(M^T M) = rank(M) and
+    ker(M^T M) = ker(M) for real M, and the Gram matrix is only (3n+1) x
+    (3n+1).
     """
-    cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
-    bound = (2 << n) * maxabs * maxabs
+    amps = 1 << n if live is None else live.size
+    cols, step = 3 * n + 1, min(amps, BLOCK_AMPS)
+    bound = 2 * amps * maxabs * maxabs
     dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
-    block = np.empty((cols, 2, amps), dtype=dtype)
-    t = block.reshape(cols, 2 * amps)
+    buf = np.empty((cols, 2, step), dtype=dtype)
     g = 0
-    for lo in range(0, 1 << n, amps):
-        fill(lo, lo + amps, block)
+    for lo in range(0, amps, step):
+        block = buf[:, :, : amps - lo]  # all of buf but for a last, short chunk
+        fill(slice(lo, lo + step) if live is None else live[lo : lo + step], block)
+        t = block.reshape(cols, -1)
         g = g + (t @ t.T if dtype is np.float64 else np.einsum("ij,kj->ik", t, t))
     return g.astype(np.int64) if dtype is np.float64 else g
 
@@ -362,18 +385,19 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     Cholesky factorization proves full rank for almost every state; when it
     cannot, TSQR and one SVD of the (3n+1)^2 factor R, tol deciding the rank
     from its singular values.  The kernel is an orthonormal array of row vectors.
-    Exact state: the integer Gram matrix summed over the blocks (`_gram`)
-    and eliminated with no tolerance (`_factorize_exact`); the kernel is a
-    list of Fraction tuples.
+    Exact state: the integer Gram matrix summed over the rows that can be
+    nonzero (`_live_rows`, `_gram`) and eliminated with no tolerance
+    (`_factorize_exact`); the kernel is a list of Fraction tuples.
     """
     if psi.is_exact:
-        return _factorize_exact(_gram(_state_fill(psi), psi.n, int(np.abs(psi.num).max())))
+        maxabs = int(np.abs(psi.num).max())
+        return _factorize_exact(_gram(_state_fill(psi), psi.n, maxabs, _live_rows(psi.num, psi.n)))
     # rank and kernel ignore scale: a power of two brings max|amp| to [1/2, 1)
     # exactly, so the Gram check cannot underflow before its rounding error
     # does (ldexp, as 2.0**-e overflows for a subnormal maximum)
     e = math.frexp(np.abs(psi.amps).max())[1]
     re, im = np.ldexp(psi.amps.real, -e), np.ldexp(psi.amps.imag, -e)
-    return _factorize_float(lambda lo, hi, out: _build_real(re, im, psi.n, lo, hi, out), psi.n, tol)
+    return _factorize_float(lambda rows, out: _build_real(re, im, psi.n, rows, out), psi.n, tol)
 
 
 def rank_float(m: OrbitMatrix, tol: float = DEFAULT_TOL) -> int:
@@ -484,7 +508,7 @@ def dump_csv(psi: PureState, path: str) -> None:
             ["row"] + [f"{c}{k}" for k in range(1, n + 1) for c in "trs"] + ["theta"]
         )
         for lo in range(0, 1 << n, amps):
-            _build_real(re, im, n, lo, lo + amps, rows.transpose(2, 1, 0))
+            _build_real(re, im, n, slice(lo, lo + amps), rows.transpose(2, 1, 0))
             for i, row in enumerate(rows.reshape(2 * amps, cols)):
                 label = f"{lo + i // 2:0{n}b}:{'im' if i % 2 else 're'}"
                 writer.writerow([label] + [entry(v) for v in row.tolist()])

@@ -197,18 +197,31 @@ def make_basis(index: MultiIndex) -> PureState:
     return _sparse_state(index.n, {index.to_int(): 1})
 
 
+# The singlet |01> - |10> and |0>, unnormalized, as real integer amplitudes
+_SINGLET = np.array([0, 1, -1, 0], dtype=np.int64)
+_ZERO = np.array([1, 0], dtype=np.int64)
+
+
+def _real_product(factors: list[np.ndarray]) -> PureState:
+    """The exact state of the tensor product of real integer factors, in one
+    Kronecker chain: the numerators `tensor` would build, with no
+    intermediate state."""
+    re = reduce(_kron, factors)
+    return PureState(n=re.size.bit_length() - 1, num=np.stack([re, np.zeros_like(re)]))
+
+
 def make_singlet_product(k: int) -> PureState:
     """k tensored copies of the singlet |01> - |10>, on n = 2k qubits."""
     if k < 1:
         raise ValueError("need at least one singlet copy")
-    return reduce(tensor, [_sparse_state(2, {0b01: 1, 0b10: -1})] * k)  # unnormalized
+    return _real_product([_SINGLET] * k)
 
 
 def make_singlet_product_plus_zero(k: int) -> PureState:
     """k singlets tensored with |0>, on n = 2k + 1 qubits."""
     if k < 1:
         raise ValueError("need at least one singlet copy")
-    return tensor(make_singlet_product(k), make_basis(MultiIndex((0,))))
+    return _real_product([_SINGLET] * k + [_ZERO])
 
 
 def make_cat(n: int) -> PureState:

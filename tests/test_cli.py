@@ -494,6 +494,8 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert any("(n=16) orbit dim 24 == 24" in line for line in lines)
         assert any("(n=15) orbit dim 23 == 23" in line for line in lines)
+        # cat states run to --n-max, past the 8 a dense Gram matrix stopped at
+        assert "pass  cat:16 orbit dim 33 > bound 24" in lines
         assert all(line.startswith("pass") for line in lines)
 
     def test_table1_suite(self, capsys):

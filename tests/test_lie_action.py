@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitscope.inner_products import direct_inner_product
+from orbitscope import lie_action
 from orbitscope.lie_action import (
+    _BASIS_PQ,
     A_MATRIX,
     B_MATRIX,
     C_MATRIX,
@@ -15,6 +17,7 @@ from orbitscope.lie_action import (
     Su2Coordinates,
     apply_algebra,
     apply_group,
+    on_qubit,
     random_local_unitary,
     random_su2,
     su2_exp,
@@ -218,6 +221,39 @@ class TestTripleColumns:
             triple_columns(make_singlet_product(1), 3)
         with pytest.raises(ValueError):
             triple_columns_exact(make_singlet_product(1), 0)
+
+
+def both_layouts(monkeypatch, u, amps, k):
+    """on_qubit(u, amps, k) with the stacked view and with the qubit first."""
+    results = []
+    for front in (False, True):
+        monkeypatch.setattr(lie_action, "_qubit_first", lambda n, k, dtype, front=front: front)
+        results.append(on_qubit(u, amps, k))
+    return results
+
+
+class TestOnQubit:
+    def test_layouts_agree_on_floats(self, monkeypatch):
+        # one matrix and stacks of shape (3, 2, 2) and (2, 3, 2, 2), every
+        # slot, n = 1..14: equal up to the rounding of a 2-term sum
+        rng = np.random.default_rng(21)
+        for n in range(1, 15):
+            amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            for shape in ((2, 2), (3, 2, 2), (2, 3, 2, 2)):
+                u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for k in range(1, n + 1):
+                    stacked, front = both_layouts(monkeypatch, u, amps, k)
+                    assert stacked.shape == front.shape == shape[:-2] + (1 << n,)
+                    assert np.abs(front - stacked).max() <= 1e-15 * np.abs(stacked).max()
+
+    def test_layouts_agree_exactly_on_python_ints(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        for n in range(1, 11):
+            amps = np.array([int(v) << 50 for v in rng.integers(-(2**20), 2**20, 1 << n)], dtype=object)
+            for u in (_BASIS_PQ, np.array([[3, -(2**70)], [5, 7]], dtype=object)):
+                for k in range(1, n + 1):
+                    stacked, front = both_layouts(monkeypatch, u, amps, k)
+                    assert front.dtype == object and np.array_equal(front, stacked)
 
 
 class TestApplyGroup:

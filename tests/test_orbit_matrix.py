@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -36,11 +37,13 @@ from orbitscope.orbit_matrix import (
 from orbitscope.states import (
     MultiIndex,
     PureState,
+    load_state,
     make_basis,
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
     sample_haar_state,
+    state_to_json,
     tensor,
 )
 
@@ -163,9 +166,10 @@ class TestBuildMatrix:
 
     def test_gram_check_rejects_a_wrong_matrix(self, monkeypatch):
         # one changed entry of M, whole or in one streamed row block (a middle
-        # one of the eight at n = 12), breaks a Gram fact that is checked
+        # one of the eight at n = 12; the live rows of the sparse cat:10),
+        # breaks a Gram fact that is checked
         build = orbit_matrix._build_real
-        for psi, bad_lo in ((make_cat(3), 0), (sample_haar_state(12, 5), 4 * BLOCK_AMPS)):
+        for psi, bad_lo in ((make_cat(3), 0), (make_cat(10), 0), (sample_haar_state(12, 5), 4 * BLOCK_AMPS)):
             good = build_matrix(psi)
             data = good.data.copy()
             data[0, 0] = data[0, 0] + 1 if good.exact else -data[0, 0]
@@ -174,9 +178,9 @@ class TestBuildMatrix:
             with pytest.raises(AssertionError, match="inner-product table"):
                 rank(OrbitMatrix(n=psi.n, data=data, exact=good.exact, den=good.den))
 
-            def corrupted(re, im, n, lo, hi, out):
-                build(re, im, n, lo, hi, out)
-                if lo == bad_lo:
+            def corrupted(re, im, n, rows, out):
+                build(re, im, n, rows, out)
+                if (rows.start if isinstance(rows, slice) else rows[0]) == bad_lo:
                     out[0, 0, 0] = out[0, 0, 0] + 1 if good.exact else -out[0, 0, 0]
 
             monkeypatch.setattr(orbit_matrix, "_build_real", corrupted)
@@ -215,19 +219,22 @@ class TestBuildMatrix:
                 orbit_matrix._check_gram(near, rtol)
 
     def test_transposed_block_matches_matrix_rows(self):
-        # a middle block, built or copied from M, holds the matching rows of
-        # the whole M transposed, real and imaginary rows apart
+        # a middle block, or scattered amplitude indices, built or copied
+        # from M, holds the matching rows of the whole M transposed, real and
+        # imaginary rows apart
+        rng = np.random.default_rng(9)
         for psi, dtype in ((sample_haar_state(12, 9), np.float64), (make_cat(10), np.int64)):
             m = build_matrix(psi).data
             cols, lo = m.shape[1], 1 << (psi.n - 1)
-            hi = lo + BLOCK_AMPS
+            scattered = np.sort(rng.choice(1 << psi.n, size=37, replace=False))
             assert m.dtype == dtype
-            rows = m[2 * lo : 2 * hi]
-            for fill in (orbit_matrix._state_fill(psi), orbit_matrix._matrix_fill(m)):
-                out = np.empty((cols, 2, hi - lo), dtype=dtype)
-                fill(lo, hi, out)
-                assert np.array_equal(out[:, 0].T, rows[0::2])
-                assert np.array_equal(out[:, 1].T, rows[1::2])
+            for amps in (slice(lo, lo + BLOCK_AMPS), scattered):
+                rows = m.reshape(-1, 2, cols)[amps]
+                for fill in (orbit_matrix._state_fill(psi), orbit_matrix._matrix_fill(m)):
+                    out = np.empty((cols, 2, len(rows)), dtype=dtype)
+                    fill(amps, out)
+                    assert np.array_equal(out[:, 0].T, rows[:, 0])
+                    assert np.array_equal(out[:, 1].T, rows[:, 1])
 
     def test_entries_come_from_amplitudes(self):
         psi = sample_haar_state(3, 17)
@@ -480,9 +487,9 @@ class TestIsotropy:
         build = orbit_matrix._build_real
         original_dgeqrf = np.linalg.lapack_lite.dgeqrf
 
-        def fill(re, im, n, lo, hi, out):
-            calls.append(("fill", out.base, lo))
-            build(re, im, n, lo, hi, out)
+        def fill(re, im, n, rows, out):
+            calls.append(("fill", out.base, rows.start))
+            build(re, im, n, rows, out)
 
         def dgeqrf(rows, cols, a, lda, *args):
             result = original_dgeqrf(rows, cols, a, lda, *args)
@@ -597,6 +604,95 @@ class TestStreamedFactorization:
             tracemalloc.stop()
         assert rank == 3 * n + 1
         assert peak < matrix_bytes / 8
+
+
+def sparse_exact_states(seed, count=48):
+    """Random exact states with few nonzero amplitudes, n = 1..12, and
+    numerators of 20, 27, 60 and 70 bits (the last two stored as Python
+    ints), some over a denominator: their Gram sums fall in every tier."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, bits = 1 + i % 12, (20, 27, 60, 70)[i // 12 % 4]
+        size = int(rng.integers(1, max(1, (1 << n) // (2 * n + 2)) + 1))
+        num = np.zeros((2, 1 << n), dtype=object)
+        for part in range(2):
+            chosen = rng.choice(1 << n, size=size, replace=False)
+            low = [int(v) for v in rng.integers(1, 2**20, size=size)]
+            num[part, chosen] = [(1 - 2 * (v & 1)) * (v << (bits - 20)) for v in low]
+        yield PureState(n=n, num=num, den=int(rng.choice([1, 3, 2**61 - 1])))
+
+
+def nonzero_rows(psi):
+    """The amplitude indices of the rows of M that hold a nonzero entry."""
+    data = build_matrix(psi).data
+    return np.flatnonzero((data != 0).reshape(1 << psi.n, -1).any(axis=1))
+
+
+def without_top_flips(num, n):
+    """`_live_rows` with the flips of the highest bit (qubit 1) left out."""
+    mark = num[0] != 0
+    mark |= num[1] != 0
+    support = np.flatnonzero(mark)
+    mark[support ^ (1 << np.arange(n - 1)[:, None])] = True
+    return np.flatnonzero(mark)
+
+
+class TestLiveRows:
+    def test_live_rows_are_the_nonzero_rows(self):
+        # every row outside L is zero, and every row of L holds c_I or some
+        # c_{I_k} of a support amplitude, so L is exactly the nonzero rows
+        live_count = 0
+        for psi in itertools.chain(sparse_exact_states(3), exact_families(12)):
+            live = orbit_matrix._live_rows(psi.num, psi.n)
+            support = np.count_nonzero((psi.num != 0).any(axis=0))
+            assert (live is None) == (support * (psi.n + 1) >= 1 << psi.n)
+            if live is not None:
+                live_count += 1
+                assert np.array_equal(live, nonzero_rows(psi))
+        assert live_count >= 40
+
+    def test_gram_over_the_live_rows_is_the_whole_gram(self):
+        tiers = set()
+        for psi in sparse_exact_states(4):
+            live = orbit_matrix._live_rows(psi.num, psi.n)
+            if live is None:
+                continue
+            maxabs = int(np.abs(psi.num).max())
+            gram = orbit_matrix._gram(orbit_matrix._state_fill(psi), psi.n, maxabs, live)
+            m = build_matrix(psi)
+            assert np.array_equal(gram, m.gram)
+            if psi.n <= 8:  # Python-int products are slow
+                assert np.array_equal(gram, object_gram(m.data))
+            bound = 2 * live.size * maxabs * maxabs
+            tiers.add(0 if bound < 2**53 else 1 if bound < 2**62 else 2)
+        assert tiers == {0, 1, 2}
+
+    def test_a_flip_left_out_of_the_live_rows_is_caught(self, monkeypatch):
+        # the mutant drops nonzero rows: the rows differ, and the C_1 column
+        # loses norm, so the exact Gram check refuses the analysis
+        states = [make_cat(10), make_basis(MultiIndex((0, 1) * 6))]
+        states += [psi for psi in sparse_exact_states(5) if psi.n >= 8]
+        monkeypatch.setattr(orbit_matrix, "_live_rows", without_top_flips)
+        for psi in states:
+            assert not np.array_equal(without_top_flips(psi.num, psi.n), nonzero_rows(psi))
+            with pytest.raises(AssertionError, match="inner-product table"):
+                factorize(psi)
+
+    def test_factorize_matches_the_dense_path(self, monkeypatch, tmp_path):
+        # rank and Fraction kernel from the live rows equal those from all
+        # 2^n amplitudes: every exact family to n = 16, more basis states,
+        # and sparse exact states with 70-bit numerators read from files
+        states = list(exact_families(16))
+        states += [make_basis(MultiIndex(tuple(int(b) for b in ("110" * n)[:n]))) for n in (9, 13, 16)]
+        for i, psi in enumerate(sparse_exact_states(6)):
+            if int(np.abs(psi.num).max()).bit_length() == 70:
+                path = tmp_path / f"state{i}.json"
+                path.write_text(json.dumps(state_to_json(psi)))
+                states.append(load_state(str(path)))
+        assert sum(orbit_matrix._live_rows(psi.num, psi.n) is not None for psi in states) >= 40
+        live = [factorize(psi) for psi in states]
+        monkeypatch.setattr(orbit_matrix, "_live_rows", lambda num, n: None)
+        assert [factorize(psi) for psi in states] == live
 
 
 def table_consistent_matrix(n, sigma_min, seed):

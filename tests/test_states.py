@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ class TestGenerators:
             assert psi.amplitude(MultiIndex(bits)) == coeff
         assert np.count_nonzero(psi.amps) == len(expected) == 2**k
         assert set(np.unique(psi.amps[psi.amps != 0].real)) <= {1.0, -1.0}
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_singlet_products_equal_the_tensor_chain(self, k):
+        # one Kronecker chain builds what k - 1 calls of `tensor` build
+        singlet = PureState(n=2, num=[[0, 1, -1, 0], [0, 0, 0, 0]])
+        zero = make_basis(MultiIndex((0,)))
+        for psi, factors in (
+            (make_singlet_product(k), [singlet] * k),
+            (make_singlet_product_plus_zero(k), [singlet] * k + [zero]),
+        ):
+            expected = reduce(tensor, factors)
+            assert psi.n == expected.n and psi.den == expected.den
+            assert psi.num.dtype == expected.num.dtype and np.array_equal(psi.num, expected.num)
+            assert psi.amps.tobytes() == expected.amps.tobytes()
 
     def test_singlet_product_rejects_zero_copies(self):
         with pytest.raises(ValueError):
