@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -25,7 +25,7 @@ from .lie_action import (
     apply_algebra,
     on_qubit,
 )
-from .states import PureState, ratio_to_float
+from .states import PureState, max_abs, ratio_to_float
 
 DEFAULT_TOL = 1e-10
 # Relative slack of the float Gram check; rounding in R^T R is ~1e-15.
@@ -67,7 +67,7 @@ class OrbitMatrix:
     @cached_property
     def gram(self) -> np.ndarray:
         """(den M)^T (den M) over the integers, exact path only (`_gram`)."""
-        return _gram(_matrix_fill(self.data), self.n, int(np.abs(self.data).max()))
+        return _gram(_matrix_fill(self.data), self.n, max_abs(self.data))
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,29 @@ class IsotropyElement:
 
     x: LocalAlgebraElement
     theta: float | Fraction
+
+
+def _sign_flip(idx: np.ndarray, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The sign table (-1)^{i_k}, of `dtype` (int64 for object), and the
+    flip table I -> I_k, each of shape (n, len(idx)), for the amplitude
+    indices `idx`."""
+    bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index
+    one = dtype.type(1)
+    return np.where(idx & bit, -one, one), idx ^ bit
+
+
+@lru_cache(maxsize=None)
+def _whole_state_tables(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """`_sign_flip` over all 2^n amplitude indices, for a state of one row
+    block (2^n <= BLOCK_AMPS).
+
+    Both tables are read-only and depend on (n, dtype) alone, never on a
+    state.  One entry holds at most 16 n 2^n bytes: 74 KB at n = 9.
+    """
+    tables = _sign_flip(np.arange(1 << n), n, dtype)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _build_real(re: np.ndarray, im: np.ndarray, n: int, rows, out: np.ndarray) -> None:
@@ -95,12 +118,14 @@ def _build_real(re: np.ndarray, im: np.ndarray, n: int, rows, out: np.ndarray) -
     These are the same columns `lie_action.triple_columns` gets from the
     basis matrices, kept as bit formulas on purpose: this is the streamed
     hot path of M, and it writes any dtype in place, row block by row block.
+    A block that covers a whole state of one row block takes its sign and
+    flip tables from `_whole_state_tables`; any other block computes them.
     """
-    idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
-    bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index
-    one = out.dtype.type(1)
-    sign = np.where(idx & bit, -one, one)  # (-1)^{i_k}, shape (n, len(rows))
-    flip = idx ^ bit
+    if isinstance(rows, slice) and rows == slice(0, 1 << n) and 1 << n <= BLOCK_AMPS:
+        sign, flip = _whole_state_tables(n, out.dtype)
+    else:
+        idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+        sign, flip = _sign_flip(idx, n, out.dtype)
     re_f, im_f = re[flip], im[flip]  # c_{I_k}
     re, im = re[rows], im[rows]
     t, r, s = out[0 : 3 * n : 3], out[1 : 3 * n : 3], out[2 : 3 * n : 3]
@@ -145,18 +170,32 @@ def build_matrix(psi: PureState) -> OrbitMatrix:
     return OrbitMatrix(n=n, data=data, exact=psi.is_exact, den=psi.den)
 
 
+@lru_cache(maxsize=None)
+def _triple_block_index(cols: int) -> np.ndarray:
+    """Flat indices into a cols x cols matrix of the entries of the 3 x 3
+    diagonal blocks of its first cols - 1 rows and columns: the cols - 1
+    diagonal entries first, then the six others of each block.  Read-only;
+    one entry per matrix size."""
+    k = cols - 1
+    start = 3 * np.arange(k // 3)[:, None]  # first row and column of each block
+    i, j = np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1])
+    index = np.concatenate([np.arange(k) * (cols + 1), ((start + i) * cols + start + j).ravel()])
+    index.setflags(write=False)
+    return index
+
+
 def _check_gram(g: np.ndarray, rtol: float) -> None:
     """Two facts of the inner-product table, checked on a Gram matrix of M:
     every column has the squared norm of the theta column, |psi|^2, and the
     columns of each triple T_k are mutually orthogonal; that is, the 3 x 3
     diagonal block of each triple is |psi|^2 I.  One comparison of the
-    largest deviation; with rtol = 0 the check is exact (integer Gram
-    matrices)."""
+    largest deviation, in the Gram matrix's own dtype; with rtol = 0 the
+    check is exact (integer Gram matrices)."""
     norm2, k = g[-1, -1], g.shape[0] - 1
     bound = rtol * norm2 if rtol else 0
-    # blocks[:, :, j] is the 3 x 3 Gram matrix of triple j + 1
-    blocks = np.diagonal(g[:k, :k].reshape(k // 3, 3, k // 3, 3), axis1=0, axis2=2)
-    if not np.abs(blocks - norm2 * np.eye(3, dtype=g.dtype)[:, :, None]).max() <= bound:
+    blocks = g.take(_triple_block_index(k + 1))
+    blocks[:k] -= norm2  # the diagonal entries
+    if not np.abs(blocks).max() <= bound:
         raise AssertionError("Gram matrix breaks the inner-product table")
 
 
@@ -261,14 +300,19 @@ def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     trailing right singular vectors span the kernel.
     """
     cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
-    w = np.zeros((cols + 2 * amps, cols), order="F")
+    w = np.empty((cols + 2 * amps, cols), order="F")
+    w[:cols] = 0  # R; `fill` writes every block below it
     t = w.T[:, cols:]  # a view: W.T is C-ordered
     block = t.reshape(cols, 2, amps)
     starts = range(0, 1 << n, amps)
-    g = 0
-    for lo in reversed(starts):
+
+    def block_gram(lo):
         fill(slice(lo, lo + amps), block)
-        g = g + t @ t.T
+        return t @ t.T
+
+    g = block_gram(starts[-1])
+    for lo in reversed(starts[:-1]):
+        g += block_gram(lo)
     _check_gram(g, GRAM_RTOL)
     if _certifies_full_rank(g, 2 << n, tol):
         return cols, np.zeros((0, cols))
@@ -390,8 +434,7 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     (`_factorize_exact`); the kernel is a list of Fraction tuples.
     """
     if psi.is_exact:
-        maxabs = int(np.abs(psi.num).max())
-        return _factorize_exact(_gram(_state_fill(psi), psi.n, maxabs, _live_rows(psi.num, psi.n)))
+        return _factorize_exact(_gram(_state_fill(psi), psi.n, max_abs(psi.num), _live_rows(psi.num, psi.n)))
     # rank and kernel ignore scale: a power of two brings max|amp| to [1/2, 1)
     # exactly, so the Gram check cannot underflow before its rounding error
     # does (ldexp, as 2.0**-e overflows for a subnormal maximum)

@@ -94,6 +94,12 @@ def _exact_numerators(num) -> np.ndarray:
     return np.array(values, dtype=np.int64 if small else object).reshape(num.shape)
 
 
+def max_abs(num: np.ndarray) -> int:
+    """max |v| over an int64 or object-int array, as a Python int, from its
+    maximum and minimum: no copy of the array, as np.abs would make."""
+    return max(int(num.max()), -int(num.min()))
+
+
 def ratio_to_float(num: np.ndarray, den: int) -> np.ndarray:
     """num / den as correctly rounded floats, for int64 or object-int `num`."""
     if num.dtype == object or den >= _INT64_MAX:
@@ -260,7 +266,7 @@ def tensor(psi1: PureState, psi2: PureState) -> PureState:
     if not (psi1.is_exact and psi2.is_exact):
         return PureState(n=n, amps=_kron(psi1.amps, psi2.amps))
     (a1, b1), (a2, b2) = psi1.num, psi2.num
-    if 2 * int(np.abs(psi1.num).max()) * int(np.abs(psi2.num).max()) >= _INT64_MAX:
+    if 2 * max_abs(psi1.num) * max_abs(psi2.num) >= _INT64_MAX:
         # products could reach 2**53, the int64 storage limit: multiply Python ints
         a1, b1, a2, b2 = (x.astype(object) for x in (a1, b1, a2, b2))
     num = np.stack([_kron(a1, a2) - _kron(b1, b2), _kron(a1, b2) + _kron(b1, a2)])

@@ -461,6 +461,22 @@ class TestSweep:
         assert aggregate["bound_violations"] == 0
         assert sum(aggregate["histogram"].values()) == 4
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_line_agrees_with_analyze(self, capsys, n):
+        # the sweep's rank-only loop against the full report of its own
+        # samples: one-block states to n = 9, two blocks at n = 10, and the
+        # rank-deficient one-qubit states
+        fields = ("n", "orbit_dimension", "rank", "min_bound", "achieves_min")
+        for sweep_seed in (2, 31):
+            code, out, _ = run_cli(capsys, "sweep", "--n", str(n), "--samples", "3", "--seed", str(sweep_seed))
+            assert code == EXIT_OK
+            for line in out.splitlines()[:-1]:
+                sample = json.loads(line)
+                code, report, _ = run_cli(capsys, "analyze", "--state", f"random:{n}:{sample['seed']}")
+                assert code == EXIT_OK
+                report = json.loads(report)
+                assert {key: sample[key] for key in fields} == {key: report[key] for key in fields}
+
     def test_neighbouring_seeds_draw_disjoint_samples(self, capsys):
         seeds = []
         for seed in ("0", "1"):

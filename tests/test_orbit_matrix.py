@@ -15,6 +15,7 @@ from orbitscope.lie_action import (
     apply_group,
 )
 from orbitscope import orbit_matrix
+from orbitscope.inner_products import _slot_table
 from orbitscope.orbit_matrix import (
     BLOCK_AMPS,
     DEFAULT_TOL,
@@ -192,6 +193,7 @@ class TestBuildMatrix:
         (np.float64, 4.0, orbit_matrix.GRAM_RTOL, 1e-8),
         (np.int64, 4, 0, 1),
         (object, 2**70, 0, 1),  # a float check would lose the 1
+        (object, 2**70, 0, 2**64),  # an int64 check would wrap it to 0
     ])
     def test_gram_check_sees_every_table_fact(self, dtype, norm2, rtol, off):
         # |psi|^2 I on each triple's 3 x 3 block passes, whatever lies between
@@ -204,7 +206,7 @@ class TestBuildMatrix:
         good[0, 3] = good[3, 0] = good[2, -1] = good[-1, 2] = 7
         orbit_matrix._check_gram(good, rtol)
         spots = [(i, i) for i in range(cols - 1)]
-        spots += [(a + i, a + j) for a in range(0, 3 * n, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+        spots += [(a + i, a + j) for a in range(0, 3 * n, 3) for i, j in itertools.permutations(range(3), 2)]
         for (i, j), sign in itertools.product(spots, (1, -1)):
             bad = good.copy()
             bad[i, j] = bad[i, j] + sign * off
@@ -253,6 +255,72 @@ class TestBuildMatrix:
         assert [row.split(",")[0] for row in rows] == [
             f"{bits}:{part}" for bits in ("00", "01", "10", "11") for part in ("re", "im")
         ]
+
+
+def sign_flip_oracle(n, dtype):
+    """(-1)^{i_k} and I -> I_k over all 2^n indices, stacked from the
+    paper checks' per-slot tables (`inner_products._slot_table`)."""
+    signs, flips = zip(*(_slot_table(n, k) for k in range(1, n + 1)))
+    return np.array(signs, dtype=np.int64 if dtype == object else dtype), np.array(flips)
+
+
+def one_block_states(n):
+    """A float, an int64 and an object-int state of n qubits, whose rows
+    of M have dtype float64, int64 and object."""
+    rng = np.random.default_rng(n)
+    small = rng.integers(-50, 50, size=(2, 1 << n))
+    big = [[int(v) << 60 for v in part] for part in small]
+    return [sample_haar_state(n, n), PureState(n=n, num=small, den=3), PureState(n=n, num=big)]
+
+
+class TestWholeStateTables:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+    def test_tables_are_read_only_and_fresh(self, dtype):
+        for n in range(1, 10):
+            sign, flip = orbit_matrix._whole_state_tables(n, np.dtype(dtype))
+            assert not sign.flags.writeable and not flip.flags.writeable
+            with pytest.raises(ValueError):
+                sign[0, 0] = 0
+            expected_sign, expected_flip = sign_flip_oracle(n, dtype)
+            assert sign.dtype == expected_sign.dtype
+            assert np.array_equal(sign, expected_sign) and np.array_equal(flip, expected_flip)
+
+    def test_whole_state_slice_equals_the_index_path(self):
+        # the cached tables (a slice over the whole one-block state) give
+        # the rows the per-call tables of an index array give; so does a
+        # slice over half of it, which computes its own
+        cache = orbit_matrix._whole_state_tables
+        calls = cache.cache_info().hits + cache.cache_info().misses
+        for n in range(1, 10):
+            assert 1 << n <= BLOCK_AMPS
+            half = (1 << n) // 2
+            for psi, dtype in zip(one_block_states(n), (np.float64, np.int64, object)):
+                re, im = orbit_matrix._parts(psi)
+                assert np.result_type(re, im) == dtype
+                for lo in (0, half):
+                    blocks = []
+                    for rows in (slice(lo, 1 << n), np.arange(lo, 1 << n)):
+                        out = np.empty((3 * n + 1, 2, (1 << n) - lo), dtype=dtype)
+                        orbit_matrix._build_real(re, im, n, rows, out)
+                        blocks.append(out)
+                    assert np.array_equal(*blocks)
+        assert cache.cache_info().hits + cache.cache_info().misses == calls + 27  # one per whole slice
+
+    def test_only_one_block_states_are_cached(self):
+        # a multi-block float analysis, the live rows of a sparse exact one
+        # and a multi-block exact one add no entry; a one-block analysis adds
+        # at most its (n, dtype) pair, once
+        cache = orbit_matrix._whole_state_tables
+        size = cache.cache_info().currsize
+        factorize(sample_haar_state(12, 1))
+        factorize(make_cat(12))
+        factorize(make_singlet_product(6))
+        assert cache.cache_info().currsize == size
+        factorize(sample_haar_state(8, 1))
+        size = cache.cache_info().currsize
+        for seed in range(5):
+            factorize(sample_haar_state(8, seed))
+        assert cache.cache_info().currsize == size
 
 
 class TestRankFloat:
@@ -677,6 +745,20 @@ class TestLiveRows:
             assert not np.array_equal(without_top_flips(psi.num, psi.n), nonzero_rows(psi))
             with pytest.raises(AssertionError, match="inner-product table"):
                 factorize(psi)
+
+    def test_exact_analysis_copies_no_numerators(self):
+        # the magnitude bound of the Gram tiers is read without a copy of
+        # the (2, 2^n) numerators (16 MiB at n = 20); the live-row marks
+        # take 1 MiB
+        psi = make_cat(20)
+        tracemalloc.start()
+        try:
+            rank, _ = factorize(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank - 1 == 2 * 20 + 1  # the orbit dimension 2n + 1 of a cat state
+        assert peak < psi.num.nbytes / 4
 
     def test_factorize_matches_the_dense_path(self, monkeypatch, tmp_path):
         # rank and Fraction kernel from the live rows equal those from all

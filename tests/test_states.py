@@ -14,6 +14,7 @@ from orbitscope.states import (
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
+    max_abs,
     multi_index_complement,
     multi_index_double_complement,
     sample_haar_state,
@@ -261,6 +262,29 @@ class TestTensor:
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
         assert np.allclose(left.amps, right.amps, atol=1e-15)
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("num", [
+        np.array([[3, -7], [5, 2]]),  # a negative extreme
+        np.array([[-(2**53) + 1, 0], [2**53 - 1, 1]]),  # both extremes of int64 storage
+        np.array([[0, 0], [0, 0]]),
+        np.array([[2**69, 5], [-(2**70), 1]], dtype=object),  # a negative extreme beyond int64
+        np.array([[2**70, -3], [-(2**70), 4]], dtype=object),
+        np.array([[-(2**64)], [2**63]], dtype=object),
+    ])
+    def test_bound_equals_the_abs_maximum(self, num):
+        bound = max_abs(num)
+        assert type(bound) is int
+        assert bound == max(abs(int(v)) for v in num.ravel()) == int(np.abs(num).max())
+
+    def test_bound_of_random_numerators(self):
+        rng = np.random.default_rng(12)
+        for bits in (10, 52, 70):
+            for _ in range(20):
+                num = PureState(n=3, num=[[int(v) << (bits - 10) for v in rng.integers(-2**10, 2**10, 8)]
+                                          for _ in range(2)]).num
+                assert max_abs(num) == int(np.abs(num).max())
 
 
 class TestStateValidation:
