@@ -117,6 +117,9 @@ def table_inner_product(psi: PureState, kind: InnerProductKind) -> complex:
     raise AssertionError(tag)
 
 
+_BASIS_BY_OP = dict(zip("ABC", SU2_BASIS))
+
+
 def _column_vector(psi: PureState, label) -> np.ndarray:
     """Resolve an operator label to its column vector.
 
@@ -127,7 +130,7 @@ def _column_vector(psi: PureState, label) -> np.ndarray:
     if label == "minus_i_psi":
         return -1j * psi.amps
     op, slot = label
-    return on_qubit(SU2_BASIS["ABC".index(op)], psi.amps, slot)
+    return on_qubit(_BASIS_BY_OP[op], psi.amps, slot)
 
 
 def direct_inner_product(psi: PureState, left, right) -> complex:
@@ -206,18 +209,15 @@ def _run_checks(psi, pairs, tol_abs) -> tuple[OrthogonalityCheck, ...]:
         [on_qubit(SU2_BASIS, psi.amps, k) for k in slots] + [-1j * psi.amps[None]]
     )
     gram = cols.conj() @ cols.T
-    checks = []
-    for left, right in pairs:
-        value = gram[index[left], index[right]]
-        checks.append(
-            OrthogonalityCheck(
-                pair=f"{_label_name(left)}.{_label_name(right)}",
-                value_re=float(value.real),
-                value_im=float(value.imag),
-                passed=bool(abs(value.real) <= tol_abs),
-            )
+    values = gram[[index[left] for left, _ in pairs], [index[right] for _, right in pairs]]
+    passed = (np.abs(values.real) <= tol_abs).tolist()
+    names = {label: _label_name(label) for label in index}
+    return tuple(
+        OrthogonalityCheck(f"{names[left]}.{names[right]}", re, im, ok)
+        for (left, right), re, im, ok in zip(
+            pairs, values.real.tolist(), values.imag.tolist(), passed
         )
-    return tuple(checks)
+    )
 
 
 def _off_k_pairs(n: int, big_k: frozenset, ops: str) -> list:

@@ -76,9 +76,21 @@ class LocalAlgebraElement:
         return cls(tuple(coords))
 
 
+def within_atol(x: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """Whether |x - b| <= atol in every entry: np.isclose's bound
+    |x - b| <= atol + rtol |b| with rtol = 0, which for a finite b makes the
+    same decisions as np.allclose(x, b, rtol=0, atol=atol).  A NaN or
+    infinite entry of x fails it."""
+    return bool(np.abs(x - b).max() <= atol)
+
+
+_EYE2 = np.eye(2)
+
+
 @dataclass(frozen=True)
 class SU2GroupElement:
-    """A 2x2 special unitary matrix."""
+    """A 2x2 special unitary matrix: |U^dag U - I| <= 1e-12 in every entry
+    and |det U - 1| <= 1e-12."""
 
     matrix: np.ndarray
 
@@ -86,7 +98,7 @@ class SU2GroupElement:
         u = np.asarray(self.matrix, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError("SU(2) element must be a 2x2 matrix")
-        if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12):
+        if not within_atol(u.conj().T @ u, _EYE2, 1e-12):
             raise ValueError("matrix is not unitary")
         if abs(np.linalg.det(u) - 1) > 1e-12:
             raise ValueError("matrix must have determinant 1")
@@ -146,7 +158,7 @@ def random_local_unitary(n: int, rng: np.random.Generator) -> LocalUnitary:
     return LocalUnitary(tuple(random_su2(rng) for _ in range(n)))
 
 
-def _qubit_first(n: int, k: int, dtype: np.dtype) -> bool:
+def _qubit_first(n: int, k: int, u: np.ndarray, amps: np.ndarray) -> bool:
     """Whether `on_qubit` moves qubit k to the front.  The stacked matmul
     costs about 0.3 us for each of its 2^{k-1} tiny products; the qubit-first
     one copies the amplitudes twice instead, and those copies cost more page
@@ -154,8 +166,9 @@ def _qubit_first(n: int, k: int, dtype: np.dtype) -> bool:
     the basis stack, one BLAS thread: the qubit-first layout is picked only
     where it was faster, and it is slower for no n <= 8.  A Python-int
     matmul costs the same per element either way, so object arrays keep the
-    stacked view (the qubit-first one was 10-20% slower at n = 8..12)."""
-    return dtype != object and n >= 8 and k >= max(6, n - 3)
+    stacked view (the qubit-first one was 10-20% slower at n = 8..12).  The
+    dtype is resolved only after the n and k tests pass."""
+    return n >= 8 and k >= max(6, n - 3) and np.result_type(u, amps) != object
 
 
 def on_qubit(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
@@ -166,18 +179,21 @@ def on_qubit(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
     amplitudes, so the action is one matmul on that view: a stack of 2^{k-1}
     products.  For large k (`_qubit_first`) that axis is moved to the front
     instead, one matmul on (2, 2^{n-1}) acts on it, and the axes are swapped
-    back.
+    back.  A single matrix broadcasts over the view as it is; only a stack
+    needs the extra axis that lines it up against the 2^{k-1} products.
     """
     n = amps.size.bit_length() - 1
     if not 1 <= k <= n:
         raise ValueError(f"slot k={k} out of range 1..{n}")
     view = amps.reshape(1 << (k - 1), 2, 1 << (n - k))
-    lead = u.shape[:-2]
-    if _qubit_first(n, k, np.result_type(u, amps)):
+    if _qubit_first(n, k, u, amps):
+        lead = u.shape[:-2]
         front = view.swapaxes(0, 1)  # (2, 2^{k-1}, 2^{n-k})
         out = np.matmul(u, front.reshape(2, -1)).reshape(lead + front.shape)
         return out.swapaxes(-3, -2).reshape(lead + (1 << n,))
-    return np.matmul(u[..., None, :, :], view).reshape(lead + (1 << n,))
+    if u.ndim == 2:
+        return np.matmul(u, view).reshape(1 << n)
+    return np.matmul(u[..., None, :, :], view).reshape(u.shape[:-2] + (1 << n,))
 
 
 def apply_algebra(x: LocalAlgebraElement, psi: PureState) -> np.ndarray:

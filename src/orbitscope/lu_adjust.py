@@ -22,11 +22,15 @@ from .lie_action import (
     apply_group,
     on_qubit,
     triple_columns,
+    within_atol,
 )
 from .orbit_matrix import numerical_rank, DEFAULT_TOL
 from .states import PureState
 
 INTERSECTION_TOL = 1e-8
+# the bound on |R^T R - I| entrywise that a rotation, and a frame, must meet
+ORTHONORMAL_ATOL = 1e-12
+_EYE3 = np.eye(3)
 
 
 class DegenerateIntersectionError(ValueError):
@@ -35,7 +39,8 @@ class DegenerateIntersectionError(ValueError):
 
 @dataclass(frozen=True)
 class SO3Rotation:
-    """A rotation of su(2) coordinates in the basis (A, B, C)."""
+    """A rotation of su(2) coordinates in the basis (A, B, C):
+    |R^T R - I| <= ORTHONORMAL_ATOL in every entry and |det R - 1| <= 1e-12."""
 
     matrix: np.ndarray
 
@@ -43,7 +48,7 @@ class SO3Rotation:
         r = np.asarray(self.matrix, dtype=float)
         if r.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-12):
+        if not within_atol(r.T @ r, _EYE3, ORTHONORMAL_ATOL):
             raise ValueError("matrix is not orthogonal")
         if abs(np.linalg.det(r) - 1) > 1e-12:
             raise ValueError("matrix must have determinant +1")
@@ -64,25 +69,30 @@ def so3_from_frame(first, second=None) -> SO3Rotation:
     """Rotation sending e_A to `first` and, when given, e_C to `second`.
 
     The remaining column(s) are completed by cross products with the sign
-    fixed so det = +1.
+    fixed so det = +1.  The frame is held to the bound `SO3Rotation` puts on
+    R^T R, computed from the same R, so a frame it would refuse is refused
+    here, in the frame's terms: a squared length or a dot product off by
+    more than ORTHONORMAL_ATOL.
     """
     first = np.asarray(first, dtype=float)
-    if abs(np.linalg.norm(first) - 1) > 1e-10:
-        raise ValueError("first image vector must be unit length")
     if second is None:
         # any unit vector orthogonal to `first` works for the middle column
         probe = np.eye(3)[int(np.argmin(np.abs(first)))]
         middle = probe - np.dot(probe, first) * first
         middle /= np.linalg.norm(middle)
-        third = np.cross(first, middle)
-        return SO3Rotation(np.column_stack([first, middle, third]))
-    second = np.asarray(second, dtype=float)
-    if abs(np.linalg.norm(second) - 1) > 1e-10:
+        r = np.column_stack([first, middle, np.cross(first, middle)])
+    else:
+        second = np.asarray(second, dtype=float)
+        r = np.column_stack([first, np.cross(second, first), second])
+    gram = r.T @ r
+    # `not <=` so that a NaN fails too
+    if not abs(gram[0, 0] - 1) <= ORTHONORMAL_ATOL:
+        raise ValueError("first image vector must be unit length")
+    if second is not None and not abs(gram[2, 2] - 1) <= ORTHONORMAL_ATOL:
         raise ValueError("second image vector must be unit length")
-    if abs(np.dot(first, second)) > 1e-10:
+    if not within_atol(gram, _EYE3, ORTHONORMAL_ATOL):
         raise ValueError("image vectors must be orthogonal")
-    middle = np.cross(second, first)
-    return SO3Rotation(np.column_stack([first, middle, second]))
+    return SO3Rotation(r)
 
 
 def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -124,7 +134,7 @@ def su2_lift(rotation: SO3Rotation) -> SU2GroupElement:
     # U^dag (A, B, C) U against the rotated basis, all three at once:
     # image m is sum_i R[i, m] (A, B, C)_i
     lifted = u.conj().T @ SU2_BASIS @ u
-    if not np.allclose(lifted, np.tensordot(rotation.matrix.T, SU2_BASIS, 1), atol=1e-10):
+    if not within_atol(lifted, np.tensordot(rotation.matrix.T, SU2_BASIS, 1), 1e-10):
         raise RuntimeError("adjoint lift verification failed")
     return SU2GroupElement(u)
 

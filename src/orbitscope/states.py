@@ -100,11 +100,13 @@ def max_abs(num: np.ndarray) -> int:
     return max(int(num.max()), -int(num.min()))
 
 
-def ratio_to_float(num: np.ndarray, den: int) -> np.ndarray:
-    """num / den as correctly rounded floats, for int64 or object-int `num`."""
+def ratio_to_float(num: np.ndarray, den: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """num / den as correctly rounded floats, for int64 or object-int `num`;
+    written into the float array `out` when one is given."""
     if num.dtype == object or den >= _INT64_MAX:
-        return np.array([v / den for v in num.tolist()], dtype=float)
-    return num / den
+        # Python ints divide with one correct rounding at any size; x / 1 is x
+        num, den = np.array([v / den for v in num.tolist()], dtype=float), 1
+    return np.divide(num, den, out=out)
 
 
 def _qubit_count(count: int) -> int:
@@ -151,7 +153,10 @@ class PureState:
             num.setflags(write=False)
             object.__setattr__(self, "num", num)
             object.__setattr__(self, "den", int(self.den))
-            amps = ratio_to_float(num[0], self.den) + 1j * ratio_to_float(num[1], self.den)
+            # each part divided straight into its half of the complex array
+            amps = np.empty(dim, dtype=complex)
+            ratio_to_float(num[0], self.den, out=amps.real)
+            ratio_to_float(num[1], self.den, out=amps.imag)
         else:
             amps = np.asarray(self.amps, dtype=complex)
             if amps.shape != (dim,):

@@ -181,19 +181,23 @@ def vdot_oracle(psi, name):
     return triple_columns(psi, int(name[1:]))["ABC".index(name[0])]
 
 
-def scenario_reports():
-    """(state, report) for each scenario on plain and LU-dressed states."""
+def scenario_cases():
+    """(state, scenario, params) on plain and LU-dressed states."""
     dressed = lu_rotated_singlets(3, 5)
     _, dep = adjust_dependency(dressed, [1, 2], [(0.0, 1.0, 0.0)] * 2, [1.0, 1.0])
     _, two = adjust_two_common(dressed, 1, 2)
-    cases = [
+    return [
         (sample_haar_state(3, 17), "triple", {"k": 2}),
         (make_singlet_product(2), "main", {"slots": [3, 4], "xi": [1.0, 1.0]}),
         (dep, "main", {"slots": [1, 2], "xi": [1.0, 1.0]}),
         (make_cat(2), "two-common", {"l": 1, "lp": 2}),
         (two, "two-common", {"l": 1, "lp": 2}),
     ]
-    return [(psi, orthogonality_report(psi, scenario, **params)) for psi, scenario, params in cases]
+
+
+def scenario_reports():
+    """(state, report) for each scenario on plain and LU-dressed states."""
+    return [(psi, orthogonality_report(psi, scenario, **params)) for psi, scenario, params in scenario_cases()]
 
 
 class TestReportValues:
@@ -211,6 +215,52 @@ class TestReportValues:
         for _, report in scenario_reports():
             assert report.all_pass
             assert all(type(check.passed) is bool for check in report.checks)
+
+
+def per_pair_checks(psi, pairs, tol_abs):
+    """The checks as one loop over the pairs once read them, one Gram entry
+    and one OrthogonalityCheck at a time."""
+    slots = sorted({label[1] for pair in pairs for label in pair if label != "minus_i_psi"})
+    index = {(op, k): 3 * i + j for i, k in enumerate(slots) for j, op in enumerate("ABC")}
+    index["minus_i_psi"] = 3 * len(slots)
+    cols = np.concatenate([triple_columns(psi, k) for k in slots] + [-1j * psi.amps[None]])
+    gram = cols.conj() @ cols.T
+    checks = []
+    for left, right in pairs:
+        value = gram[index[left], index[right]]
+        checks.append(
+            inner_products.OrthogonalityCheck(
+                pair=f"{inner_products._label_name(left)}.{inner_products._label_name(right)}",
+                value_re=float(value.real),
+                value_im=float(value.imag),
+                passed=bool(abs(value.real) <= tol_abs),
+            )
+        )
+    return tuple(checks)
+
+
+class TestRunChecksAgainstPerPairLoop:
+    def test_reports_equal_the_loop(self, monkeypatch):
+        cases = scenario_cases()
+        fresh = [orthogonality_report(psi, scenario, **params) for psi, scenario, params in cases]
+        monkeypatch.setattr(inner_products, "_run_checks", per_pair_checks)
+        for (psi, scenario, params), report in zip(cases, fresh):
+            expected = orthogonality_report(psi, scenario, **params)
+            assert report == expected and report.checks == expected.checks
+            for check, other in zip(report.checks, expected.checks):
+                assert (type(check.value_re), type(check.value_im), type(check.passed)) == (float, float, bool)
+                # the same floats bit for bit, signed zeros included
+                assert repr((check.value_re, check.value_im)) == repr((other.value_re, other.value_im))
+
+    def test_tolerance_edge_and_empty_pairs(self):
+        psi = sample_haar_state(3, 29)
+        pairs = [(("A", 1), ("B", 2)), (("B", 2), "minus_i_psi"), (("C", 3), ("A", 1))]
+        for check in per_pair_checks(psi, pairs, 0.0):
+            # a tolerance exactly at |value_re| passes, one ulp below fails
+            tol = abs(check.value_re)
+            for t in (tol, np.nextafter(tol, 0)):
+                assert inner_products._run_checks(psi, pairs, t) == per_pair_checks(psi, pairs, t)
+        assert inner_products._run_checks(psi, [], 1.0) == ()
 
 
 def nested_loop_pairs(n, big_k, ops):

@@ -227,7 +227,7 @@ def both_layouts(monkeypatch, u, amps, k):
     """on_qubit(u, amps, k) with the stacked view and with the qubit first."""
     results = []
     for front in (False, True):
-        monkeypatch.setattr(lie_action, "_qubit_first", lambda n, k, dtype, front=front: front)
+        monkeypatch.setattr(lie_action, "_qubit_first", lambda n, k, u, amps, front=front: front)
         results.append(on_qubit(u, amps, k))
     return results
 
@@ -254,6 +254,47 @@ class TestOnQubit:
                 for k in range(1, n + 1):
                     stacked, front = both_layouts(monkeypatch, u, amps, k)
                     assert front.dtype == object and np.array_equal(front, stacked)
+
+    def test_single_matrix_equals_stacked_form(self, monkeypatch):
+        # one 2x2 matrix is applied by a plain matmul on the view; it must
+        # give the bits of the stacked form u[..., None, :, :] @ view, and of
+        # a one-matrix stack, in both layouts and under the real layout rule
+        rng = np.random.default_rng(23)
+        draws = {
+            float: lambda size: rng.standard_normal(size),
+            complex: lambda size: rng.standard_normal(size) + 1j * rng.standard_normal(size),
+            object: lambda size: np.array([int(v) << 40 for v in rng.integers(-999, 1000, size)], dtype=object),
+        }
+        for n in range(1, 11):
+            for dtype, draw in draws.items():
+                amps, u = draw(1 << n), draw(4).reshape(2, 2)
+                for k in range(1, n + 1):
+                    one = on_qubit(u, amps, k)
+                    assert np.array_equal(one, on_qubit(u[None], amps, k)[0])
+                    view = amps.reshape(1 << (k - 1), 2, 1 << (n - k))
+                    stacked = np.matmul(u[..., None, :, :], view).reshape(1 << n)
+                    single, front = both_layouts(monkeypatch, u, amps, k)
+                    assert single.dtype == stacked.dtype and np.array_equal(single, stacked)
+                    assert np.array_equal(front, both_layouts(monkeypatch, u[None], amps, k)[1][0])
+                    monkeypatch.undo()
+
+    def test_dtype_is_resolved_only_where_qubit_first_can_apply(self, monkeypatch):
+        calls = []
+        result_type = np.result_type
+        monkeypatch.setattr(np, "result_type", lambda *args: calls.append(args) or result_type(*args))
+        rng = np.random.default_rng(24)
+        for n in (3, 6):
+            amps = rng.standard_normal(1 << n) + 0j
+            for k in (1, n):
+                on_qubit(A_MATRIX, amps, k)
+                on_qubit(lie_action.SU2_BASIS, amps, k)
+        assert calls == []
+        amps = rng.standard_normal(1 << 8) + 0j
+        on_qubit(A_MATRIX, amps, 8)
+        assert len(calls) == 1
+        assert lie_action._qubit_first(8, 8, A_MATRIX, amps)
+        assert not lie_action._qubit_first(8, 8, _BASIS_PQ, amps.real.astype(int).astype(object))
+        assert not lie_action._qubit_first(8, 5, A_MATRIX, amps)
 
 
 class TestApplyGroup:

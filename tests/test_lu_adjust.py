@@ -8,10 +8,15 @@ from orbitscope.lie_action import (
     A_MATRIX,
     B_MATRIX,
     C_MATRIX,
+    SU2GroupElement,
+    Su2Coordinates,
     random_su2,
+    su2_exp,
     triple_columns,
+    within_atol,
 )
 from orbitscope.lu_adjust import (
+    ORTHONORMAL_ATOL,
     DegenerateIntersectionError,
     SO3Rotation,
     adjust_dependency,
@@ -157,6 +162,127 @@ class TestSu2Lift:
             comps = [u1[0, 0].real, u1[0, 0].imag, u1[0, 1].real, u1[0, 1].imag]
             first = next(v for v in comps if abs(v) > 1e-12)
             assert first > 0
+
+
+class TestWithinAtol:
+    def test_matches_allclose_with_no_relative_term(self):
+        rng = np.random.default_rng(41)
+        atol = 1e-12
+        for shape in ((2, 2), (3, 3), (3, 2, 2)):
+            for _ in range(200):
+                b = rng.standard_normal(shape)
+                x = b + rng.choice([1e-14, 1e-12, 1e-10]) * rng.standard_normal(shape)
+                assert within_atol(x, b, atol) == np.allclose(x, b, rtol=0, atol=atol)
+                # one entry NaN, infinite, or exactly atol (or one ulp past it)
+                # away from a zero entry of b
+                i = rng.integers(b.size)
+                b.flat[i] = 0.0
+                for value in (np.nan, np.inf, -np.inf, atol, -atol, np.nextafter(atol, 1)):
+                    x = b.copy()
+                    x.flat[i] = value
+                    expected = np.allclose(x, b, rtol=0, atol=atol)
+                    assert within_atol(x, b, atol) == expected == (abs(value) <= atol), value
+        # complex entries are bounded by their modulus, as np.isclose does
+        z = np.eye(2) + 0.6e-12 + 0.8e-12j
+        assert within_atol(z, np.eye(2), 1e-12) == np.allclose(z, np.eye(2), rtol=0, atol=1e-12)
+        assert not within_atol(z, np.eye(2), 0.99e-12)
+
+    def test_entries_exactly_at_atol_pass(self):
+        assert within_atol(np.array([1.0 + 2.0**-20]), np.array([1.0]), 2.0**-20)
+        assert not within_atol(np.array([1.0 + 2.0**-19]), np.array([1.0]), 2.0**-20)
+
+
+class TestValidatorBounds:
+    """The SU(2), SO(3) and lift checks bound each entry by an absolute
+    tolerance alone.  np.allclose's default rtol = 1e-5 let a diagonal off by
+    about 1e-5 through; a scaling with det 1 is the case that shows it."""
+
+    def test_su2_refuses_a_det_one_scaling(self):
+        a = 1 + 4e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            SU2GroupElement(np.diag([a, 1 / a]))
+
+    def test_so3_refuses_a_det_one_scaling(self):
+        a = 1 + 4e-6
+        with pytest.raises(ValueError, match="not orthogonal"):
+            SO3Rotation(np.diag([a, 1 / a, 1.0]))
+
+    def test_lift_check_refuses_a_det_one_scaling(self):
+        # a matrix that skipped SO3Rotation's own check: the lift's
+        # verification must see the 4e-6 scaling on its own
+        a = 1 + 4e-6
+        rot = object.__new__(SO3Rotation)
+        object.__setattr__(rot, "matrix", np.diag([a, 1 / a, 1.0]))
+        with pytest.raises(RuntimeError, match="lift verification"):
+            su2_lift(rot)
+
+    def test_bounds_at_the_stated_tolerance(self):
+        SU2GroupElement(np.diag([np.exp(0.2j), np.exp(-0.2j)]) * (1 + 4e-13))
+        with pytest.raises(ValueError, match="not unitary"):
+            SU2GroupElement(np.diag([1 + 4e-12, 1 / (1 + 4e-12)]))
+        SO3Rotation(np.diag([1 + 4e-13, 1 / (1 + 4e-13), 1.0]))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            SO3Rotation(np.diag([1 + 4e-12, 1 / (1 + 4e-12), 1.0]))
+
+    def test_every_producer_passes(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            u = random_su2(rng)
+            su2_exp(Su2Coordinates(*(rng.standard_normal(3) * rng.choice([1e-3, 1.0, 10.0, 1e3]))))
+            su2_lift(SO3Rotation(adjoint_rotation(u.matrix)))
+            # SVD frames, as adjust_two_common takes them
+            left, _, right = np.linalg.svd(rng.standard_normal((3, 3)))
+            su2_lift(so3_from_frame(left[:, 0], left[:, 1]))
+            su2_lift(so3_from_frame(right[0], right[1]))
+            # normalized directions, as adjust_dependency takes them
+            vec = rng.standard_normal(3) * rng.choice([1e-6, 1.0, 1e6])
+            su2_lift(so3_from_frame(vec / np.linalg.norm(vec)))
+        for direction in np.eye(3):
+            su2_lift(so3_from_frame(direction))
+            su2_lift(so3_from_frame(-direction))
+
+
+class TestFrameBoundary:
+    """so3_from_frame refuses what SO3Rotation would refuse, first and with
+    its own message."""
+
+    def test_nearly_orthogonal_pair_is_refused_as_a_frame(self):
+        second = np.array([5e-11, 1.0, 0.0])
+        second /= np.linalg.norm(second)
+        assert abs(np.dot([1.0, 0.0, 0.0], second) - 5e-11) < 1e-20
+        with pytest.raises(ValueError, match="image vectors must be orthogonal"):
+            so3_from_frame([1.0, 0.0, 0.0], second)
+        close = np.array([5e-13, 1.0, 0.0])
+        so3_from_frame([1.0, 0.0, 0.0], close / np.linalg.norm(close))
+
+    def test_lengths_are_held_to_the_rotation_bound(self):
+        for first, second, message in (
+            ([1 + 5e-11, 0.0, 0.0], None, "first image vector must be unit length"),
+            ([1 + 5e-11, 0.0, 0.0], [0.0, 1.0, 0.0], "first image vector must be unit length"),
+            ([1.0, 0.0, 0.0], [0.0, 1 + 5e-11, 0.0], "second image vector must be unit length"),
+            ([np.nan, 0.0, 0.0], None, "first image vector must be unit length"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                so3_from_frame(first, second)
+        so3_from_frame([1 + 2e-13, 0.0, 0.0])
+
+    def test_no_frame_reaches_the_rotation_check(self):
+        # frames off by 1e-14 .. 1e-10 either pass or are refused in the
+        # frame's terms, never by SO3Rotation's own messages
+        rng = np.random.default_rng(47)
+        refused = 0
+        for _ in range(400):
+            left = np.linalg.svd(rng.standard_normal((3, 3)))[0]
+            eps = 10.0 ** rng.uniform(-14, -10)
+            first = left[:, 0] + eps * rng.standard_normal(3)
+            second = left[:, 1] + eps * rng.standard_normal(3)
+            for args in ((first,), (first, second)):
+                try:
+                    so3_from_frame(*args)
+                except ValueError as exc:
+                    assert "image vector" in str(exc), exc
+                    refused += 1
+        assert 0 < refused < 800
 
 
 class TestTripleSpanDim:

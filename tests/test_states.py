@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -16,6 +17,7 @@ from orbitscope.states import (
     make_singlet_product_plus_zero,
     max_abs,
     multi_index_complement,
+    ratio_to_float,
     multi_index_double_complement,
     sample_haar_state,
     state_from_json,
@@ -379,6 +381,59 @@ class TestExactNumerators:
         assert small.num.dtype == np.int64 and small.den == 6
         big = PureState.from_exact([(Fraction(2**60), Fraction(0)), (Fraction(0), Fraction(1))])
         assert big.num.dtype == object
+
+
+class TestExactAmplitudes:
+    """An exact state's float `amps` are num / den written straight into the
+    real and imaginary halves of one complex array."""
+
+    @staticmethod
+    def summed(num, den):
+        """The amplitudes as a real part plus 1j times an imaginary part."""
+        if num.dtype == object or den >= 2**53:
+            re, im = (np.array([v / den for v in part.tolist()], dtype=float) for part in num)
+        else:
+            re, im = num[0] / den, num[1] / den
+        return re + 1j * im
+
+    def test_bits_equal_the_summed_form_on_both_tiers(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 5, 9):
+            for den in (1, 3, 7 * 2**40, 2**53 + 5, 3**80):
+                for bits, scale in ((20, 1), (52, 1), (40, 2**70)):
+                    num = rng.integers(-(2**bits), 2**bits, size=(2, 1 << n)).astype(object) * scale
+                    num[:, rng.integers(1 << n)] = 0
+                    psi = PureState(n=n, num=num, den=den)
+                    assert psi.num.dtype == (object if scale > 1 else np.int64)
+                    expected = self.summed(psi.num, psi.den)
+                    assert psi.amps.tobytes() == expected.tobytes()
+                    assert not psi.amps.flags.writeable
+
+    def test_ratio_to_float_into_a_strided_half(self):
+        num = np.array([3, -7, 0, 2**60], dtype=object)
+        for den in (1, 9, 2**61 + 1):
+            out = np.zeros(4, dtype=complex)
+            half = out.imag
+            assert ratio_to_float(num, den, out=half) is half
+            assert out.imag.tolist() == ratio_to_float(num, den).tolist() and not out.real.any()
+        small = np.array([5, -1, 0, 12], dtype=np.int64)
+        out = np.zeros(4, dtype=complex)
+        ratio_to_float(small, 7, out=out.real)
+        assert out.real.tolist() == (small / 7).tolist()
+
+    def test_construction_adds_only_the_amplitudes_at_n_20(self):
+        n = 20
+        num = np.zeros((2, 1 << n), dtype=np.int64)
+        num[0, 0] = num[1, -1] = 3
+        tracemalloc.start()
+        try:
+            psi = PureState(n=n, num=num, den=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        amps_bytes = 16 << n  # 16 MiB; summing two float halves peaked at 32 MiB
+        assert psi.amps.nbytes == amps_bytes
+        assert peak < amps_bytes * 1.1
 
 
 class TestJsonFormat:
