@@ -23,6 +23,7 @@ import numpy as np
 from . import z2
 from .inner_products import (
     ALL_KINDS,
+    SINGLE_KINDS,
     InnerProductKind,
     direct_inner_product,
     real_dot,
@@ -271,14 +272,14 @@ def _verify_theorem(n_max: int):
 
 def _verify_table1(n_max: int):
     """Closed forms against direct column inner products on random states."""
-    for n in range(1, min(n_max, 5) + 1):
+    for n in range(1, n_max + 1):
         worst = 0.0
         for sample in range(50):
             psi = sample_haar_state(n, seed=7000 + 100 * n + sample)
             scale = psi.norm() ** 2
             for tag in ALL_KINDS:
                 for k in range(1, n + 1):
-                    j_range = [None] if tag in ("A", "B", "C") else range(1, n + 1)
+                    j_range = [None] if tag in SINGLE_KINDS else range(1, n + 1)
                     for j in j_range:
                         kind = InnerProductKind(tag=tag, k=k, j=j)
                         expected = direct_inner_product(psi, *table_kind_as_labels(kind))
@@ -340,8 +341,9 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    # theorem and triples build states of every size up to --n-max (none below 1)
-    if args.suite in ("theorem", "triples") and args.n_max > 0:
+    # theorem, table1 and triples build states of every size up to --n-max
+    # (none below 1)
+    if args.suite in ("theorem", "table1", "triples") and args.n_max > 0:
         check_capacity(args.n_max)
     checks, failures = 0, []
     for name, ok in _SUITES[args.suite](args.n_max):

@@ -117,24 +117,61 @@ def table_inner_product(psi: PureState, kind: InnerProductKind) -> complex:
     raise AssertionError(tag)
 
 
-_BASIS_BY_OP = dict(zip("ABC", SU2_BASIS))
+# the row of each op's column in a slot's triple
+_ROW = {"A": 0, "B": 1, "C": 2}
+# the key of the oracle's memo in a PureState's own __dict__
+_MEMO = "_oracle_columns"
+
+
+def _slot_columns(psi: PureState, k: int) -> np.ndarray:
+    """A_k|psi>, B_k|psi>, C_k|psi> as the rows of one read-only 3 x 2^n
+    array, from one `on_qubit` of the basis stack.
+
+    The triple is memoised in the state's own __dict__, as
+    `functools.cached_property` does on a frozen dataclass: it is freed with
+    the state, never shared between states, and not a field, so `==`,
+    `repr` and `dataclasses.fields` do not see it.  A state holds at most n
+    triples, 3n * 2^n complex numbers: the size of M.  Each row is bitwise
+    the single-matrix `on_qubit` of its basis matrix.
+    """
+    memo = psi.__dict__.get(_MEMO)
+    if memo is None:
+        memo = psi.__dict__[_MEMO] = {}
+    cols = memo.get(k)
+    if cols is None:
+        cols = on_qubit(SU2_BASIS, psi.amps, k)
+        cols.setflags(write=False)
+        memo[k] = cols
+    return cols
 
 
 def _column_vector(psi: PureState, label) -> np.ndarray:
     """Resolve an operator label to its column vector.
 
-    Labels: "identity", "minus_i_psi", or ("A"|"B"|"C", slot).
+    Labels: "identity", "minus_i_psi", or ("A"|"B"|"C", slot) with an
+    integer slot in 1..n; anything else is a ValueError naming the label,
+    raised before a column is computed or memoised.
     """
-    if label == "identity":
+    if type(label) is tuple and len(label) == 2:
+        op, slot = label
+        row = _ROW.get(op) if type(op) is str else None
+        integer = isinstance(slot, (int, np.integer)) and type(slot) is not bool
+        if row is not None and integer and 1 <= slot <= psi.n:
+            return _slot_columns(psi, slot)[row]
+    elif label == "identity":
         return psi.amps
-    if label == "minus_i_psi":
+    elif label == "minus_i_psi":
         return -1j * psi.amps
-    op, slot = label
-    return on_qubit(_BASIS_BY_OP[op], psi.amps, slot)
+    raise ValueError(
+        f"bad operator label {label!r}: expected 'identity', 'minus_i_psi' "
+        f"or (op, slot) with op in A, B, C and slot in 1..{psi.n}"
+    )
 
 
 def direct_inner_product(psi: PureState, left, right) -> complex:
-    """<left.psi | right.psi> from the actual column vectors (the oracle)."""
+    """<left.psi | right.psi> from the actual column vectors (the oracle):
+    the basis matrices applied to psi, one stack per slot and state
+    (`_slot_columns`), never the closed forms."""
     return complex(np.vdot(_column_vector(psi, left), _column_vector(psi, right)))
 
 
@@ -205,9 +242,7 @@ def _run_checks(psi, pairs, tol_abs) -> tuple[OrthogonalityCheck, ...]:
     slots = sorted({label[1] for pair in pairs for label in pair if label != "minus_i_psi"})
     index = {(op, k): 3 * i + j for i, k in enumerate(slots) for j, op in enumerate("ABC")}
     index["minus_i_psi"] = 3 * len(slots)
-    cols = np.concatenate(
-        [on_qubit(SU2_BASIS, psi.amps, k) for k in slots] + [-1j * psi.amps[None]]
-    )
+    cols = np.concatenate([_slot_columns(psi, k) for k in slots] + [-1j * psi.amps[None]])
     gram = cols.conj() @ cols.T
     values = gram[[index[left] for left, _ in pairs], [index[right] for _, right in pairs]]
     passed = (np.abs(values.real) <= tol_abs).tolist()
@@ -254,9 +289,7 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
     if scenario == "main":
         slots = list(params["slots"])
         xi = list(params["xi"])
-        residual_vec = sum(
-            float(x) * _column_vector(psi, ("A", j)) for x, j in zip(xi, slots)
-        )
+        residual_vec = sum(float(x) * _slot_columns(psi, j)[0] for x, j in zip(xi, slots))
         residual = float(np.linalg.norm(residual_vec))
         scale = psi.norm() * sum(abs(float(x)) for x in xi)
         if residual > HYPOTHESIS_RTOL * scale:
@@ -270,8 +303,7 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
 
     if scenario == "two-common":
         l, lp = params["l"], params["lp"]
-        a_and_c = SU2_BASIS[::2]
-        diff = on_qubit(a_and_c, psi.amps, l) - on_qubit(a_and_c, psi.amps, lp)
+        diff = _slot_columns(psi, l)[::2] - _slot_columns(psi, lp)[::2]
         residual = float(max(map(np.linalg.norm, diff)))
         if residual > HYPOTHESIS_RTOL * psi.norm():
             raise HypothesisViolationError(

@@ -206,7 +206,13 @@ def apply_algebra(x: LocalAlgebraElement, psi: PureState) -> np.ndarray:
 
 def triple_columns(psi: PureState, k: int) -> np.ndarray:
     """The complex column vectors A_k|psi>, B_k|psi>, C_k|psi> of the triple
-    T_k, as the rows of one 3 x 2^n array."""
+    T_k, as the rows of one 3 x 2^n array.
+
+    Computed afresh on every call, unlike the oracle's triples
+    (`inner_products._slot_columns`), which are memoised on the state:
+    `verify --suite triples` walks every slot of states up to its `--n-max`,
+    and a memo would hold all 3n * 2^n numbers of each state at once (about
+    4.2 GB at n = 22) where one triple at a time needs about 200 MB."""
     return on_qubit(SU2_BASIS, psi.amps, k)
 
 

@@ -120,11 +120,17 @@ class TestCapacity:
         assert json.loads(out)["rank"] == 37
         assert len(path.read_text().splitlines()) == 8193
 
-    @pytest.mark.parametrize("suite", ["theorem", "triples"])
+    @pytest.mark.parametrize("suite", ["theorem", "triples", "table1"])
     def test_verify_sizes_refused_before_allocation(self, capsys, monkeypatch, no_state_builders, suite):
         monkeypatch.setattr(cli, "physical_memory", lambda: 1 << 20)
         err = usage_error(capsys, "verify", "--suite", suite, "--n-max", "12")
         assert err.startswith("error: n=12 exceeds capacity")
+
+    def test_table1_n_max_40_refused_before_allocation(self, capsys, monkeypatch, no_state_builders):
+        # table1 runs to --n-max, so a size past memory is refused up front
+        monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)
+        err = usage_error(capsys, "verify", "--suite", "table1", "--n-max", "40")
+        assert err.startswith("error: n=40 exceeds capacity")
 
     @pytest.mark.parametrize("suite, n_max", [("theorem", "0"), ("theorem", "1"), ("triples", "0"),
                                               ("table1", "-3")])
@@ -518,6 +524,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--n-max", "3")
         assert code == EXIT_OK
         assert all(line.startswith("pass") for line in out.strip().splitlines())
+
+    def test_table1_suite_runs_to_n_max(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--n-max", "7")
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert [line.split("table-vs-direct n=")[1].split(",")[0] for line in lines] == list("1234567")
+        assert all(line.startswith("pass  table-vs-direct") for line in lines)
 
     def test_triples_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "triples", "--n-max", "2")

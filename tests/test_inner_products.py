@@ -1,11 +1,15 @@
+import dataclasses
+import gc
 import json
+import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitscope import inner_products
+from orbitscope import inner_products, lie_action
 from orbitscope.inner_products import (
     ALL_KINDS,
     PAIR_KINDS,
@@ -19,9 +23,11 @@ from orbitscope.inner_products import (
     table_kind_as_labels,
 )
 from orbitscope.lie_action import (
+    SU2_BASIS,
     LocalUnitary,
     SU2GroupElement,
     apply_group,
+    on_qubit,
     random_local_unitary,
     triple_columns,
 )
@@ -172,6 +178,105 @@ class TestNoAnswerMemo:
         # the two states do give different rows, so the check above has teeth
         kind = InnerProductKind("BB", 2, 1)
         assert abs(table_inner_product(psi, kind) - table_inner_product(phi, kind)) > 1e-3
+
+
+def per_call_column(psi, label):
+    """A label's column as the oracle once computed it on every call: one
+    single-matrix `on_qubit` per slot label, nothing remembered."""
+    if label == "identity":
+        return psi.amps
+    if label == "minus_i_psi":
+        return -1j * psi.amps
+    op, slot = label
+    return on_qubit(SU2_BASIS["ABC".index(op)], psi.amps, slot)
+
+
+def oracle_labels(n):
+    return ["identity", "minus_i_psi"] + [(op, k) for k in range(1, n + 1) for op in "ABC"]
+
+
+def memo_of(psi):
+    return vars(psi).get(inner_products._MEMO, {})
+
+
+class TestOracleMemo:
+    """The oracle computes slot k's triple once per state, keeps it read-only
+    in the state's own __dict__, and gives the per-call oracle's bits."""
+
+    @pytest.mark.parametrize("front", [None, False, True])
+    def test_bitwise_equal_to_the_per_call_oracle(self, monkeypatch, front):
+        # front=None keeps the real layout rule; False and True force the
+        # stacked view and the qubit-first layout, as `both_layouts` in
+        # test_lie_action.py does, for the memo and the per-call side alike
+        if front is not None:
+            monkeypatch.setattr(lie_action, "_qubit_first", lambda n, k, u, amps: front)
+        rng = np.random.default_rng(31)
+        for n in range(1, 8):
+            exact = PureState(n=n, num=rng.integers(-9, 10, (2, 1 << n)), den=7)
+            for psi in (sample_haar_state(n, 3100 + n), sample_haar_state(n, 3200 + n), exact, make_cat(n)):
+                labels = oracle_labels(n)
+                for left in labels:
+                    for right in labels:
+                        got = direct_inner_product(psi, left, right)
+                        want = complex(np.vdot(per_call_column(psi, left), per_call_column(psi, right)))
+                        # repr: the same floats bit for bit, signed zeros included
+                        assert repr(got) == repr(want), (n, left, right)
+                assert sorted(memo_of(psi)) == list(range(1, n + 1))
+
+    def test_each_slot_applied_once_per_state(self, monkeypatch):
+        calls = []
+        real = inner_products.on_qubit
+        monkeypatch.setattr(inner_products, "on_qubit", lambda u, amps, k: calls.append(k) or real(u, amps, k))
+        psi = sample_haar_state(4, 5)
+        for kind in all_kind_instances(4):
+            direct_inner_product(psi, *table_kind_as_labels(kind))
+        orthogonality_report(psi, "triple", k=3)
+        assert sorted(calls) == [1, 2, 3, 4]
+
+    def test_columns_are_read_only(self):
+        psi = sample_haar_state(3, 8)
+        column = inner_products._column_vector(psi, ("B", 2))
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+        for triple in memo_of(psi).values():
+            with pytest.raises(ValueError, match="read-only"):
+                triple[...] = 0
+        assert direct_inner_product(psi, ("B", 2), ("B", 2)) == np.vdot(column, column)
+
+    def test_freed_with_the_state(self):
+        psi = sample_haar_state(3, 9)
+        direct_inner_product(psi, ("A", 1), ("C", 3))
+        state, triple = weakref.ref(psi), weakref.ref(memo_of(psi)[3])
+        del psi
+        gc.collect()
+        assert state() is None and triple() is None
+
+    def test_not_seen_by_eq_repr_or_fields(self):
+        psi = sample_haar_state(2, 10)
+        twin = PureState(n=2, amps=psi.amps)
+        before = (repr(psi), dataclasses.fields(psi), psi == twin, twin == psi)
+        orthogonality_report(psi, "triple", k=1)
+        direct_inner_product(psi, ("C", 2), "minus_i_psi")
+        assert sorted(memo_of(psi)) == [1, 2] and not memo_of(twin)
+        assert (repr(psi), dataclasses.fields(psi), psi == twin, twin == psi) == before
+        assert before[2] is True and inner_products._MEMO not in vars(dataclasses.replace(psi))
+
+    def test_triple_columns_is_not_memoised(self):
+        psi = sample_haar_state(3, 12)
+        first = triple_columns(psi, 2)
+        assert first is not triple_columns(psi, 2) and first.flags.writeable
+        assert inner_products._MEMO not in vars(psi)
+
+    @pytest.mark.parametrize(
+        "label",
+        [("D", 1), ("A", 0), ("A", 4), "psi", ("B", True), ("C", 1.0), ("AB", 1), ("A", 1, 2), ["A", 1], 0],
+    )
+    def test_bad_labels_refused_before_anything_is_memoised(self, label):
+        psi = sample_haar_state(3, 13)
+        for left, right in ((label, "identity"), ("identity", label), (label, ("A", 1))):
+            with pytest.raises(ValueError, match=re.escape(f"bad operator label {label!r}")):
+                direct_inner_product(psi, left, right)
+            assert not memo_of(psi)
 
 
 def vdot_oracle(psi, name):
