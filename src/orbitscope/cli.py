@@ -61,6 +61,9 @@ STATE_BYTES_PER_AMP = 80
 # tracemalloc peak: 2.1 (Haar, n = 16), 2.6 (exact, n = 16), 6.2 (exact with
 # a Python-int Gram sum, n = 11).
 BLOCK_BUFFERS = 8
+# Bytes per amplitude and qubit of the table oracle's memo, which holds the
+# three complex columns of every slot of a state (`_slot_columns`).
+MEMO_BYTES_PER_AMP_QUBIT = 48
 
 
 class UsageError(ValueError):
@@ -84,14 +87,14 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_capacity(n: int) -> None:
-    """Raise a UsageError unless an n-qubit state and the float64 row blocks
-    of M fit in physical memory."""
+def check_capacity(n: int, bytes_per_amp: int = STATE_BYTES_PER_AMP) -> None:
+    """Raise a UsageError unless an n-qubit state, at `bytes_per_amp` bytes
+    per amplitude, and the float64 row blocks of M fit in physical memory."""
     memory = physical_memory()
     # 2**n bytes alone exceed memory from n = memory.bit_length() on;
     # testing that first keeps a huge n from making a huge integer
     if n < memory.bit_length():
-        need = (STATE_BYTES_PER_AMP << n) + BLOCK_BUFFERS * 2 * BLOCK_AMPS * (3 * n + 1) * 8
+        need = (bytes_per_amp << n) + BLOCK_BUFFERS * 2 * BLOCK_AMPS * (3 * n + 1) * 8
         if need <= memory:
             return
     raise UsageError(
@@ -342,9 +345,10 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     # theorem, table1 and triples build states of every size up to --n-max
-    # (none below 1)
+    # (none below 1); table1's oracle also memoises each state's columns
     if args.suite in ("theorem", "table1", "triples") and args.n_max > 0:
-        check_capacity(args.n_max)
+        memo = MEMO_BYTES_PER_AMP_QUBIT * args.n_max if args.suite == "table1" else 0
+        check_capacity(args.n_max, STATE_BYTES_PER_AMP + memo)
     checks, failures = 0, []
     for name, ok in _SUITES[args.suite](args.n_max):
         checks += 1

@@ -35,6 +35,9 @@ GRAM_RTOL = 1e-10
 # each other at n = 10..14.  A power of two, so blocks tile the 2^n
 # amplitudes exactly.
 BLOCK_AMPS = 512
+# Amplitudes per sub-block of the row sample that certifies full rank
+# before the full Gram pass (`_sample_tables`); a power of two.
+SAMPLE_AMPS = 32
 
 
 class ExactPathError(TypeError):
@@ -101,7 +104,7 @@ def _whole_state_tables(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray
     return tables
 
 
-def _build_real(re: np.ndarray, im: np.ndarray, n: int, rows, out: np.ndarray) -> None:
+def _build_real(re: np.ndarray, im: np.ndarray, n: int, rows, out: np.ndarray, tables=None) -> None:
     """The rows of M for the amplitude indices `rows` (a slice lo:hi or an
     index array), from the bit formulas, written transposed into `out` of
     shape (3n+1, 2, len(rows)) and any dtype (float or integer): out[col, 0,
@@ -118,10 +121,13 @@ def _build_real(re: np.ndarray, im: np.ndarray, n: int, rows, out: np.ndarray) -
     These are the same columns `lie_action.triple_columns` gets from the
     basis matrices, kept as bit formulas on purpose: this is the streamed
     hot path of M, and it writes any dtype in place, row block by row block.
-    A block that covers a whole state of one row block takes its sign and
-    flip tables from `_whole_state_tables`; any other block computes them.
+    `tables`, when given, are the sign and flip tables of `rows`
+    (`_sign_flip`).  A block that covers a whole state of one row block
+    takes them from `_whole_state_tables`; any other block computes them.
     """
-    if isinstance(rows, slice) and rows == slice(0, 1 << n) and 1 << n <= BLOCK_AMPS:
+    if tables is not None:
+        sign, flip = tables
+    elif isinstance(rows, slice) and rows == slice(0, 1 << n) and 1 << n <= BLOCK_AMPS:
         sign, flip = _whole_state_tables(n, out.dtype)
     else:
         idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
@@ -224,16 +230,19 @@ def _qr_in_place(w: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
 
 
-def _certifies_full_rank(g: np.ndarray, rows: int, tol: float) -> bool:
-    """Whether the float Gram matrix g = fl(M^T M) of a real M with `rows`
-    rows proves that every singular value of M exceeds tol times the largest.
+def _certifies_full_rank(g: np.ndarray, rows: int, tol: float, total: float) -> bool:
+    """Whether the float Gram matrix g = fl(M_S^T M_S) of `rows` rows M_S of
+    a real M proves that every singular value of M exceeds tol times the
+    largest.  M_S is all of M or a subset of its rows; `total` is T, either
+    a bound T >= trace(M^T M) known in advance, or trace(g) when M_S = M.
 
     With u = 2**-53, gamma_k = k u / (1 - k u) and c = cols, each entry of g
-    is an inner product of length m = rows, so |g - M^T M| <= gamma_m
-    |M|^T |M| entrywise, whatever the order of summation (Higham, Accuracy
-    and Stability of Numerical Algorithms, sec. 3.5), and
-    ||g - M^T M||_2 <= gamma_m trace(M^T M).  Let
-        delta = (gamma_m + c^2 u) trace(g),  s = 2 delta + tol^2 (trace(g) + delta).
+    is an inner product of length m = rows, so |g - M_S^T M_S| <= gamma_m
+    |M_S|^T |M_S| entrywise, whatever the order of summation (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.5), and
+    ||g - M_S^T M_S||_2 <= gamma_m trace(M_S^T M_S) <= gamma_m T, up to the
+    gamma_m^2 T between trace(g) and trace(M^T M) when T = trace(g).  Let
+        delta = (gamma_m + c^2 u) T,  s = 2 delta + tol^2 (T + delta).
 
     The proof is one Cholesky factorization of a = fl(g - s I) (Rump,
     Verification of positive definiteness, BIT 46, 2006).  If it completes
@@ -241,34 +250,36 @@ def _certifies_full_rank(g: np.ndarray, rows: int, tol: float) -> bool:
     |L| |L^T| (Higham, Thm 10.3), so ||E||_2 <= gamma_{c+1} ||L||_F^2 <=
     gamma_{c+1} trace(a) / (1 - gamma_{c+1}); and L L^T is positive
     definite, so lambda_min(a) > -||E||_2.  Every pivot was positive, so
-    s < g_ii for each i, and the shift, rounded on the diagonal alone, moves
-    each eigenvalue by at most u max_i g_ii.  Both errors are below
-    (c + 2) u trace(g), within half the c^2 u trace(g) term of delta for
-    c = 3n + 1 >= 4; the other half absorbs the rounding of trace(g) and of
-    s, and the gap between trace(g) and trace(M^T M).  So
-        lambda_min(M^T M) > s - delta = delta + tol^2 (trace(g) + delta)
-                          >= delta + tol^2 sigma_1^2,
-    as sigma_1^2 <= trace(M^T M) <= trace(g) + delta: full rank.  A
-    LinAlgError (a non-positive pivot) means only that g cannot decide;
-    LAPACK lets a NaN pivot through, so a factor that is not finite
-    decides nothing either.  Numpy's Cholesky reads the lower triangle of
-    the symmetric g.
+    s < g_ii <= trace(g) / c for the smallest g_ii, and the shift, rounded
+    on the diagonal alone, moves each eigenvalue by at most u max_i g_ii.
+    Both errors are below (c + 2) u trace(g) <= (c + 2) u (1 + gamma_m) T,
+    within half the c^2 u T term of delta: for c = 3n + 1 >= 4 when
+    T = trace(g), and for c >= 31 when M_S is the row sample of n >= 10
+    qubits.  The other half absorbs the rounding of T and of s and the
+    gamma_m^2 T above.  So
+        lambda_min(M_S^T M_S) > s - delta = delta + tol^2 (T + delta).
+    The rows left out of M_S add a positive semidefinite term to M^T M, so
+    lambda_min(M^T M) >= lambda_min(M_S^T M_S) > delta + tol^2 sigma_1^2,
+    as sigma_1^2 <= trace(M^T M) <= T + delta: full rank.  A LinAlgError (a
+    non-positive pivot) means only that g cannot decide; LAPACK lets a NaN
+    pivot through, so a factor that is not finite decides nothing either.
+    Numpy's Cholesky reads the lower triangle of the symmetric g.
 
     The test only ever says yes: g resolves sigma to about sqrt(u) sigma_1,
     much coarser than tol, so a rank deficiency or a near-tolerance state is
-    left to the TSQR.  Where it says yes, sigma_min^2 > delta >= c^2 u
-    trace(M^T M) >= c^2 u sigma_1^2, so sigma_min > c sqrt(u) sigma_1, at
-    least 400 tol sigma_1 (4e3 at n = 12): a theorem, far beyond the TSQR's
-    own rounding, so the TSQR would have found full rank too.
+    left to the TSQR.  Where it says yes, sigma_min^2 > delta >= c^2 u T >=
+    c^2 u sigma_1^2 (up to a relative gamma_m), so sigma_min > c sqrt(u)
+    sigma_1, at least 400 tol sigma_1 (4e3 at n = 12): a theorem about all
+    of M, far beyond the TSQR's own rounding, so the TSQR would have found
+    full rank too.
     """
     u = 2.0**-53
     cols, mu = g.shape[0], rows * u
     if mu >= 0.5:  # gamma_m is no bound at all this close to m u = 1
         return False
-    trace = g.trace()
-    delta = (mu / (1 - mu) + cols * cols * u) * trace
+    delta = (mu / (1 - mu) + cols * cols * u) * total
     a = g.copy()
-    a.reshape(-1)[:: cols + 1] -= 2 * delta + tol * tol * (trace + delta)  # the diagonal
+    a.reshape(-1)[:: cols + 1] -= 2 * delta + tol * tol * (total + delta)  # the diagonal
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -314,7 +325,7 @@ def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     for lo in reversed(starts[:-1]):
         g += block_gram(lo)
     _check_gram(g, GRAM_RTOL)
-    if _certifies_full_rank(g, 2 << n, tol):
+    if _certifies_full_rank(g, 2 << n, tol, g.trace()):
         return cols, np.zeros((0, cols))
     for lo in starts:
         if lo:
@@ -323,6 +334,116 @@ def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     _, s, vt = np.linalg.svd(w[:cols])
     rank = _sigma_rank(s, tol)
     return rank, vt[rank:]
+
+
+@lru_cache(maxsize=None)
+def _sample_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplitude indices S of the row sample of M (`_sample_certifies`)
+    and their float64 sign and flip tables (`_sign_flip`).  S is the base
+    block [0, b), b = SAMPLE_AMPS, and its image under the flip of each
+    qubit whose bit is >= b, ascending: (n - log2 b + 1) b indices.
+
+    A block of consecutive indices would not do: on rows where qubit k's bit
+    is fixed, A_k psi = +-i psi = -+(the theta column), so those rows of M
+    have rank at most 3n.  In S every qubit's bit takes both values: a low
+    qubit's within each sub-block, a high qubit's between the base block and
+    its image.  The three arrays are read-only and depend on n alone; one
+    entry holds 8 (2n + 1) |S| bytes, 168 KB at n = 20.
+    """
+    base = np.arange(SAMPLE_AMPS)
+    high = 1 << np.arange(SAMPLE_AMPS.bit_length() - 1, n)
+    rows = np.concatenate([base, (high[:, None] + base).ravel()])
+    tables = (rows, *_sign_flip(rows, n, np.dtype(np.float64)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _sample_gram(re: np.ndarray, im: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """The Gram matrix of the rows of M for the amplitudes S of
+    `_sample_tables`, M built from re and im times the power of two `scale`.
+    The rows are built from the unscaled parts and scaled in place: the same
+    numbers, since the builder only negates and copies parts."""
+    rows, *tables = _sample_tables(n)
+    t = np.empty((3 * n + 1, 2, rows.size))
+    _build_real(re, im, n, rows, t, tables)
+    t *= scale
+    t = t.reshape(3 * n + 1, -1)
+    return t @ t.T
+
+
+def _check_sample_gram(g: np.ndarray, amps: np.ndarray, n: int, scale: float) -> None:
+    """The inner-product table on the rows of M for the amplitudes S of
+    `_sample_tables`: their Gram matrix g (`_sample_gram`), against closed
+    forms computed from the amplitudes `amps` themselves.
+
+    With c_I = scale psi_I, s_I = (-1)^{i_k} and every sum over I in S, the
+    3 x 3 block of triple k and its entries in the theta row are
+        AA = theta theta = N = sum |c_I|^2,  BB = CC = sum |c_{I_k}|^2,
+        BC = 0,  AB = Im z,  AC = Re w,
+        A theta = -sum s_I |c_I|^2,  B theta = -Im w,  C theta = -Re z,
+    for z = sum conj(c_I) c_{I_k} and w = sum s_I conj(c_I) c_{I_k}.  Over
+    all amplitudes the terms of I and I_k pair up, which makes z real and w
+    imaginary: AB = AC = 0 and BB = CC = N = |psi|^2, the facts
+    `_check_gram` checks.  The theta row catches a sign error in the theta
+    column, which no squared norm sees.  One comparison of the largest
+    deviation against GRAM_RTOL times the largest column norm.
+    """
+    rows = _sample_tables(n)[0]
+    bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index
+    c = amps[rows] * scale
+    c_flip = amps[rows ^ bit]  # c_{I_k} in row k - 1
+    c_flip *= scale
+    sign = np.where(rows & bit, -1.0, 1.0)
+    mod2 = c.real**2 + c.imag**2
+    parts = c_flip.view(np.float64)
+    norm2, flip2 = mod2.sum(), np.einsum("ki,ki->k", parts, parts)
+    z, w = c_flip @ c.conj(), np.einsum("ki,ki,i->k", sign, c_flip, c.conj())
+    zero = np.zeros(n)
+    expected = np.concatenate([
+        np.column_stack([np.full(n, norm2), flip2, flip2]).ravel(),  # the diagonal
+        np.column_stack([z.imag, w.real, z.imag, zero, w.real, zero]).ravel(),  # AB AC BA BC CA CB
+        np.column_stack([-(sign @ mod2), -w.imag, -z.real]).ravel(),  # the theta row
+        [norm2],
+    ])
+    got = np.concatenate([g.take(_triple_block_index(3 * n + 1)), g[-1]])
+    if not np.abs(got - expected).max() <= GRAM_RTOL * max(norm2, flip2.max()):
+        raise AssertionError("Gram matrix breaks the inner-product table on the row sample")
+
+
+def _sample_certifies(psi: PureState, tol: float) -> bool:
+    """Whether the rows of M for the amplitudes S of `_sample_tables` alone
+    prove that M has full rank, for a float state; only a yes is an answer.
+
+    M_S^T M_S <= M^T M, so `_certifies_full_rank` decides from the Gram
+    matrix g of M_S (`_sample_gram`) with a bound T on trace(M^T M) =
+    (3n+1) |psi|^2, every column of M having the norm of psi.  A yes rests
+    on g, which is then checked against the inner-product table on S
+    (`_check_sample_gram`); a no draws nothing from g, and the full path
+    decides, checking all of M.
+
+    Nothing of the size of psi is copied.  The power of two 2^-e that brings
+    the largest real or imaginary part to [1/2, 1) comes from four
+    reductions, and scales only the rows of S.  T is c fl(|psi|^2) 2^-2e
+    (1 + 4 N u), N = 2^n: the one `vdot` sums 2N rounded nonnegative
+    squares, within gamma_{2N+1} of the exact sum (Higham, sec. 3.1);
+    underflow loses at most 2N 2^-1075 in all, below N 2^-74 of |psi|^2 >=
+    2^(2e - 2) while e >= -500 (smaller states are left to the full path,
+    and 2^-e stays a normal number); scaled parts that round to subnormals
+    add below 2^-1070 N to |2^-e psi|^2 >= 1/4; and the factor covers these
+    and the three roundings of T for N >= 2^10.
+    """
+    n, cols, amps = psi.n, 3 * psi.n + 1, psi.amps
+    e = math.frexp(max(amps.real.max(), -amps.real.min(), amps.imag.max(), -amps.imag.min()))[1]
+    if e < -500:
+        return False
+    scale = 2.0**-e
+    total = cols * (np.vdot(amps, amps).real * scale * scale) * (1 + 4 * (1 << n) * 2.0**-53)
+    g = _sample_gram(amps.real, amps.imag, n, scale)
+    if not _certifies_full_rank(g, 2 * _sample_tables(n)[0].size, tol, total):
+        return False
+    _check_sample_gram(g, amps, n, scale)
+    return True
 
 
 def _live_rows(num: np.ndarray, n: int) -> np.ndarray | None:
@@ -425,16 +546,21 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
     block by block, after the Gram matrix is checked against the
     inner-product table.
 
-    Float state (`_factorize_float`): the float Gram matrix, whose shifted
-    Cholesky factorization proves full rank for almost every state; when it
-    cannot, TSQR and one SVD of the (3n+1)^2 factor R, tol deciding the rank
-    from its singular values.  The kernel is an orthonormal array of row vectors.
+    Float state of more than one row block: first the Gram matrix of the
+    rows of a sample S of amplitudes, which proves full rank for almost
+    every state (`_sample_certifies`).  Otherwise (`_factorize_float`) the
+    float Gram matrix of all of M, whose shifted Cholesky factorization
+    proves full rank for almost every one-block state; when it cannot, TSQR
+    and one SVD of the (3n+1)^2 factor R, tol deciding the rank from its
+    singular values.  The kernel is an orthonormal array of row vectors.
     Exact state: the integer Gram matrix summed over the rows that can be
     nonzero (`_live_rows`, `_gram`) and eliminated with no tolerance
     (`_factorize_exact`); the kernel is a list of Fraction tuples.
     """
     if psi.is_exact:
         return _factorize_exact(_gram(_state_fill(psi), psi.n, max_abs(psi.num), _live_rows(psi.num, psi.n)))
+    if 1 << psi.n > BLOCK_AMPS and _sample_certifies(psi, tol):
+        return 3 * psi.n + 1, np.zeros((0, 3 * psi.n + 1))
     # rank and kernel ignore scale: a power of two brings max|amp| to [1/2, 1)
     # exactly, so the Gram check cannot underflow before its rounding error
     # does (ldexp, as 2.0**-e overflows for a subnormal maximum)

@@ -126,6 +126,17 @@ class TestCapacity:
         err = usage_error(capsys, "verify", "--suite", suite, "--n-max", "12")
         assert err.startswith("error: n=12 exceeds capacity")
 
+    def test_table1_counts_the_oracle_memo(self, capsys, monkeypatch, no_state_builders):
+        # 4 MiB holds the state and row blocks at n = 12, so the theorem and
+        # triples suites go ahead, but not table1's memo of 48 n 2^n bytes
+        # (2.25 MiB more): table1 exits 2 before any state is built
+        monkeypatch.setattr(cli, "physical_memory", lambda: 4 << 20)
+        cli.check_capacity(12)
+        with pytest.raises(cli.UsageError, match="exceeds capacity"):
+            cli.check_capacity(12, cli.STATE_BYTES_PER_AMP + 48 * 12)
+        err = usage_error(capsys, "verify", "--suite", "table1", "--n-max", "12")
+        assert err.startswith("error: n=12 exceeds capacity")
+
     def test_table1_n_max_40_refused_before_allocation(self, capsys, monkeypatch, no_state_builders):
         # table1 runs to --n-max, so a size past memory is refused up front
         monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)

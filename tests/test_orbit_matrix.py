@@ -166,11 +166,18 @@ class TestBuildMatrix:
             assert np.array_equal(gram, object_gram(build_matrix(psi).data))
 
     def test_gram_check_rejects_a_wrong_matrix(self, monkeypatch):
-        # one changed entry of M, whole or in one streamed row block (a middle
-        # one of the eight at n = 12; the live rows of the sparse cat:10),
-        # breaks a Gram fact that is checked
+        # one changed entry of M, whole or in the rows of one amplitude as
+        # the analysis builds them, breaks a Gram fact that is checked: the
+        # live rows of the sparse cat:10; a row of the sample S that
+        # certifies the Haar n = 12 state (the first of the image of the
+        # base block under qubit 1's flip); and, on a rotated state that
+        # falls back to the full path, a row of a middle row block that S
+        # leaves out
         build = orbit_matrix._build_real
-        for psi, bad_lo in ((make_cat(3), 0), (make_cat(10), 0), (sample_haar_state(12, 5), 4 * BLOCK_AMPS)):
+        rotated = apply_group(random_local_unitary(11, np.random.default_rng(2)), make_singlet_product_plus_zero(5))
+        cases = [(make_cat(3), 0), (make_cat(10), 0), (sample_haar_state(12, 5), 1 << 11),
+                 (rotated, 2 * BLOCK_AMPS + 100)]
+        for psi, bad in cases:
             good = build_matrix(psi)
             data = good.data.copy()
             data[0, 0] = data[0, 0] + 1 if good.exact else -data[0, 0]
@@ -179,15 +186,25 @@ class TestBuildMatrix:
             with pytest.raises(AssertionError, match="inner-product table"):
                 rank(OrbitMatrix(n=psi.n, data=data, exact=good.exact, den=good.den))
 
-            def corrupted(re, im, n, rows, out):
-                build(re, im, n, rows, out)
-                if (rows.start if isinstance(rows, slice) else rows[0]) == bad_lo:
-                    out[0, 0, 0] = out[0, 0, 0] + 1 if good.exact else -out[0, 0, 0]
+            built = []
+
+            def corrupted(re, im, n, rows, out, *tables):
+                build(re, im, n, rows, out, *tables)
+                hit = np.flatnonzero(np.arange(1 << n)[rows] == bad)
+                built.append((isinstance(rows, slice), hit.size))
+                if hit.size:
+                    out[0, 0, hit[0]] = out[0, 0, hit[0]] + 1 if good.exact else -out[0, 0, hit[0]]
 
             monkeypatch.setattr(orbit_matrix, "_build_real", corrupted)
             with pytest.raises(AssertionError, match="inner-product table"):
                 factorize(psi)
             monkeypatch.setattr(orbit_matrix, "_build_real", build)
+            assert sum(hits for _, hits in built) == 1
+            if psi is rotated:
+                # S was built first and left the bad row out; a row block held it
+                assert built[0] == (False, 0) and (True, 1) in built
+        assert orbit_matrix._sample_tables(11)[0].tolist().count(2 * BLOCK_AMPS + 100) == 0
+        assert (1 << 11) in orbit_matrix._sample_tables(12)[0]
 
     @pytest.mark.parametrize("dtype, norm2, rtol, off", [
         (np.float64, 4.0, orbit_matrix.GRAM_RTOL, 1e-8),
@@ -544,20 +561,26 @@ class TestIsotropy:
                 assert np.abs(k.T @ k - ref.T @ ref).max() <= 1e-8
 
     def test_one_factorization_per_float_analysis(self, monkeypatch):
-        # one pass of the row blocks, last to first, into the block region of
-        # one F-ordered workspace sums the Gram matrix; one Cholesky
-        # factorization of it, shifted, decides a full rank with no QR and
-        # no SVD.  Otherwise one in-place dgeqrf of numpy's LAPACK per row
-        # block on that same workspace, the first block left there by the
-        # Gram pass, and then one full SVD of the (3n+1)^2 factor R; no QR
-        # copy or stacked copy
+        # a state of more than one row block first builds the rows of the
+        # sample S, once, and one Cholesky factorization of their Gram
+        # matrix, shifted, decides a full rank with nothing else built.
+        # Otherwise, and for a one-block state, one pass of the row blocks,
+        # last to first, into the block region of one F-ordered workspace
+        # sums the Gram matrix, and one Cholesky factorization of it decides
+        # a full rank with no QR and no SVD.  Otherwise one in-place dgeqrf
+        # of numpy's LAPACK per row block on that same workspace, the first
+        # block left there by the Gram pass and not built again, and then
+        # one full SVD of the (3n+1)^2 factor R; no QR copy or stacked copy
         calls = []
         build = orbit_matrix._build_real
         original_dgeqrf = np.linalg.lapack_lite.dgeqrf
 
-        def fill(re, im, n, rows, out):
-            calls.append(("fill", out.base, rows.start))
-            build(re, im, n, rows, out)
+        def fill(re, im, n, rows, out, *tables):
+            if isinstance(rows, slice):
+                calls.append(("fill", out.base, rows.start))
+            else:
+                calls.append(("sample", out.shape, rows))
+            build(re, im, n, rows, out, *tables)
 
         def dgeqrf(rows, cols, a, lda, *args):
             result = original_dgeqrf(rows, cols, a, lda, *args)
@@ -578,17 +601,26 @@ class TestIsotropy:
         record(np.linalg, "qr", lambda a, *args, **kw: a.shape)
         record(np, "vstack", lambda arrays, *args, **kw: len(arrays))
         rng = np.random.default_rng(3)
-        # (state, nullity, decided by the Gram matrix)
-        cases = [(sample_haar_state(n, 40 + n), 0, True) for n in (9, 10)]
-        cases += [(apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)), 3 * k, False) for k in (3, 6)]
+        # (state, nullity, what decides: the sample, the whole Gram matrix or the TSQR)
+        cases = [(sample_haar_state(9, 49), 0, "gram"), (sample_haar_state(10, 50), 0, "sample"),
+                 (sample_haar_state(13, 53), 0, "sample")]
+        cases += [(apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)), 3 * k, "tsqr") for k in (3, 6)]
         # a one-qubit state has a one-dimensional isotropy algebra
-        cases += [(sample_haar_state(1, 41), 1, False)]
-        for psi, nullity, certified in cases:
+        cases += [(sample_haar_state(1, 41), 1, "tsqr")]
+        for psi, nullity, decider in cases:
             n, cols = psi.n, 3 * psi.n + 1
             amps = min(1 << n, BLOCK_AMPS)
             starts = list(range(0, 1 << n, amps))
             calls.clear()
             assert len(isotropy_basis(psi)) == nullity
+            if 1 << n > BLOCK_AMPS:
+                rows = orbit_matrix._sample_tables(n)[0]
+                assert calls[:2] == [("sample", (cols, 2, rows.size), rows), ("cholesky", (cols, cols))]
+                assert calls[0][2] is rows
+                del calls[:2]
+            if decider == "sample":
+                assert calls == []
+                continue
             w = calls[0][1]
             assert w.shape == (cols + 2 * amps, cols) and w.flags.f_contiguous
             fills = [call for call in calls if call[0] == "fill"]
@@ -597,7 +629,7 @@ class TestIsotropy:
             assert all(call[1] is w and call[2] == (*w.shape, w.shape[0]) and call[3] for call in folds)
             names = [call[0] for call in calls]
             gram_pass = ["fill"] * len(starts) + ["cholesky"]
-            if certified:
+            if decider == "gram":
                 assert names == gram_pass
                 assert [call[2] for call in fills] == starts[::-1]
             else:
@@ -798,26 +830,29 @@ def table_consistent_matrix(n, sigma_min, seed):
     return OrbitMatrix(n=n, data=(u * sigma) @ v.T, exact=False)
 
 
-def certificate_delta(g, rows):
-    """delta = (gamma_m + cols^2 u) trace(g), m = rows, of `_certifies_full_rank`."""
+def certificate_delta(g, rows, total=None):
+    """delta = (gamma_m + cols^2 u) T, m = rows, of `_certifies_full_rank`,
+    with T = trace(g) unless a total is given."""
     mu = rows * 2.0**-53
-    return (mu / (1 - mu) + len(g) ** 2 * 2.0**-53) * np.trace(g)
+    return (mu / (1 - mu) + len(g) ** 2 * 2.0**-53) * (np.trace(g) if total is None else total)
 
 
-def eigenvalue_rule(g, rows, tol):
+def eigenvalue_rule(g, rows, tol, total):
     """The certificate's earlier decision, a test-only oracle: every
-    eigenvalue of M^T M lies within delta of the one eigvalsh computes, and
-    lambda_min - delta > tol^2 (lambda_max + delta) proves full rank."""
+    eigenvalue of M_S^T M_S lies within delta of the one eigvalsh computes,
+    and lambda_min - delta > tol^2 (lambda_max + delta) proves full rank
+    (lambda_max <= T, since M_S^T M_S <= M^T M)."""
     if rows * 2.0**-53 >= 0.5:
         return False
-    lam, delta = np.linalg.eigvalsh(g), certificate_delta(g, rows)
+    lam, delta = np.linalg.eigvalsh(g), certificate_delta(g, rows, total)
     return bool(lam[0] - delta > tol * tol * (lam[-1] + delta))
 
 
-def certificate_shift(g, rows, tol):
-    """The shift s = 2 delta + tol^2 (trace(g) + delta) of `_certifies_full_rank`."""
-    delta = certificate_delta(g, rows)
-    return 2 * delta + tol * tol * (np.trace(g) + delta)
+def certificate_shift(g, rows, tol, total=None):
+    """The shift s = 2 delta + tol^2 (T + delta) of `_certifies_full_rank`,
+    with T = trace(g) unless a total is given."""
+    delta = certificate_delta(g, rows, total)
+    return 2 * delta + tol * tol * ((np.trace(g) if total is None else total) + delta)
 
 
 def factorizes(a) -> bool:
@@ -829,17 +864,17 @@ def factorizes(a) -> bool:
 
 class TestRankCertificate:
     def spy(self, monkeypatch):
-        """Records each certificate as ("certificate", g, rows, tol, answer),
-        each Cholesky factorization as ("cholesky", completed) and each
-        dgeqrf fold as ("dgeqrf",)."""
+        """Records each certificate as ("certificate", g, rows, tol, total,
+        answer), each Cholesky factorization as ("cholesky", completed) and
+        each dgeqrf fold as ("dgeqrf",)."""
         calls = []
         certify, cholesky = orbit_matrix._certifies_full_rank, np.linalg.cholesky
         dgeqrf = np.linalg.lapack_lite.dgeqrf
 
-        def recorded_certify(g, rows, tol):
-            call = ["certificate", g.copy(), rows, tol]
+        def recorded_certify(g, rows, tol, total):
+            call = ["certificate", g.copy(), rows, tol, total]
             calls.append(call)
-            call.append(certify(g, rows, tol))
+            call.append(certify(g, rows, tol, total))
             return call[-1]
 
         def recorded_cholesky(a):
@@ -887,25 +922,26 @@ class TestRankCertificate:
         # with delta = 0 it would claim full rank
         calls = self.spy(monkeypatch)
         assert rank_float(table_consistent_matrix(n, 1e-12, seed)) == 3 * n
-        _, g, rows, tol, answer = calls[0]
-        assert not answer
+        _, g, rows, tol, total, answer = calls[0]
+        assert not answer and total == np.trace(g)
         assert factorizes(g - tol * tol * np.trace(g) * np.eye(len(g)))
 
     def test_no_certificate_once_rows_times_u_reaches_a_half(self, monkeypatch):
         # gamma_m = m u / (1 - m u) is no bound once m u >= 1/2: the guard
         # refuses before anything is factorized
         calls = self.spy(monkeypatch)
-        assert orbit_matrix._certifies_full_rank(np.eye(4), 2**40, DEFAULT_TOL)
-        assert not orbit_matrix._certifies_full_rank(np.eye(4), 2**52, DEFAULT_TOL)
+        assert orbit_matrix._certifies_full_rank(np.eye(4), 2**40, DEFAULT_TOL, 4.0)
+        assert not orbit_matrix._certifies_full_rank(np.eye(4), 2**52, DEFAULT_TOL, 4.0)
         assert [call for call in calls if call[0] == "cholesky"] == [("cholesky", True)]
 
     def test_nan_never_certifies(self):
         # LAPACK's Cholesky lets a NaN pivot through without an error
-        assert not orbit_matrix._certifies_full_rank(np.full((4, 4), np.nan), 8, DEFAULT_TOL)
+        assert not orbit_matrix._certifies_full_rank(np.full((4, 4), np.nan), 8, DEFAULT_TOL, 4.0)
+        assert not orbit_matrix._certifies_full_rank(np.eye(4), 8, DEFAULT_TOL, np.nan)
         for entry in ((0, 0), (3, 3), (2, 0)):
             g = np.eye(4)
             g[entry] = g[entry[::-1]] = np.nan
-            assert not orbit_matrix._certifies_full_rank(g, 8, DEFAULT_TOL), entry
+            assert not orbit_matrix._certifies_full_rank(g, 8, DEFAULT_TOL, 4.0), entry
 
     @pytest.mark.parametrize("above", [True, False])
     def test_smallest_eigenvalue_just_above_or_below_the_shift(self, above):
@@ -925,12 +961,13 @@ class TestRankCertificate:
         g = (q * lam) @ q.T
         g = (g + g.T) / 2
         assert (np.linalg.eigvalsh(g)[0] > certificate_shift(g, rows, tol)) == above
-        assert orbit_matrix._certifies_full_rank(g, rows, tol) == above
+        assert orbit_matrix._certifies_full_rank(g, rows, tol, np.trace(g)) == above
 
     def test_same_decisions_as_the_eigenvalue_rule(self, monkeypatch):
         # every exact family to n = 8 as floats and LU-rotated, and Haar
-        # states n = 1..12: the Cholesky certificate decides as the
-        # eigenvalue rule did on the same Gram matrix
+        # states n = 1..12, those from n = 10 on decided by the sample S:
+        # the Cholesky certificate decides as the eigenvalue rule did on the
+        # same Gram matrix and bound T
         calls = self.spy(monkeypatch)
         states = [psi for _, *copies in float_copies(8, seed=5) for psi in copies]
         states += [sample_haar_state(n, 900 + n) for n in range(1, 13)]
@@ -938,9 +975,12 @@ class TestRankCertificate:
             factorize(psi)
         decisions = [call for call in calls if call[0] == "certificate"]
         assert len(decisions) == len(states)
-        for _, g, rows, tol, answer in decisions:
-            assert answer == eigenvalue_rule(g, rows, tol)
+        for _, g, rows, tol, total, answer in decisions:
+            assert answer == eigenvalue_rule(g, rows, tol, total)
         assert sum(call[-1] for call in decisions) >= 10
+        # the sample's three decisions: fewer rows, and T above trace(g)
+        assert [(rows, total > np.trace(g)) for _, g, rows, _, total, _ in decisions[-3:]] == [
+            (2 * orbit_matrix._sample_tables(n)[0].size, True) for n in (10, 11, 12)]
 
     def test_same_answers_as_the_tsqr_alone(self, monkeypatch):
         # every exact family to n = 8 as floats and LU-rotated, and Haar
@@ -955,6 +995,185 @@ class TestRankCertificate:
             assert rank == tsqr_rank
             assert np.abs(kernel.T @ kernel - tsqr_kernel.T @ tsqr_kernel).max() <= 1e-12
         assert sum(rank == 3 * psi.n + 1 for psi, (rank, _) in zip(states, answers)) >= 8
+
+
+def sample_gram(psi):
+    """The Gram matrix of the rows of M for the sample S, taken from the
+    whole M, with the certificate's scale, and that scale."""
+    e = math.frexp(max(np.abs(psi.amps.real).max(), np.abs(psi.amps.imag).max()))[1]
+    rows = orbit_matrix._sample_tables(psi.n)[0]
+    m_s = build_matrix(PureState(n=psi.n, amps=psi.amps * 2.0**-e)).data.reshape(1 << psi.n, 2, -1)[rows]
+    m_s = m_s.reshape(2 * rows.size, -1)
+    return m_s.T @ m_s, 2.0**-e
+
+
+def sample_decisions(monkeypatch):
+    """Records each `_sample_certifies` answer."""
+    answers = []
+    decide = orbit_matrix._sample_certifies
+    monkeypatch.setattr(orbit_matrix, "_sample_certifies", lambda *a: answers.append(decide(*a)) or answers[-1])
+    return answers
+
+
+class TestSampleCertificate:
+    @pytest.mark.parametrize("n", [6, 10, 13, 16])
+    def test_sample_rows(self, n):
+        # the base block [0, b) and its image under each flip of a bit >= b,
+        # ascending, with read-only sign and flip tables equal to the
+        # per-call ones; every qubit's bit takes both values on S
+        b = orbit_matrix.SAMPLE_AMPS
+        rows, sign, flip = orbit_matrix._sample_tables(n)
+        expected = [i for i in range(b)] + [i ^ bit for bit in (1 << np.arange(b.bit_length() - 1, n)) for i in range(b)]
+        assert rows.tolist() == expected == sorted(expected)
+        assert rows.size == (n - b.bit_length() + 2) * b
+        expected_sign, expected_flip = orbit_matrix._sign_flip(rows, n, np.dtype(np.float64))
+        assert np.array_equal(sign, expected_sign) and np.array_equal(flip, expected_flip)
+        assert not any(table.flags.writeable for table in (rows, sign, flip))
+        assert (sign == 1).any(axis=1).all() and (sign == -1).any(axis=1).all()
+        assert orbit_matrix._sample_tables(n)[0] is rows
+
+    def test_consecutive_rows_cannot_certify(self):
+        # on the first |S| amplitudes every qubit whose bit is >= |S| has
+        # bit 0, so A_k psi = i psi = -theta there and those rows have rank
+        # below 3n + 1; the rows of S have full rank
+        for n in (10, 12):
+            psi = sample_haar_state(n, 70 + n)
+            by_amp = build_matrix(psi).data.reshape(1 << n, 2, -1)
+            rows = orbit_matrix._sample_tables(n)[0]
+            block = by_amp[: rows.size].reshape(2 * rows.size, -1)
+            assert numerical_rank(block) <= 3 * n
+            assert numerical_rank(by_amp[rows].reshape(2 * rows.size, -1)) == 3 * n + 1
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_bound_t_decides_on_a_synthetic_gram(self, below):
+        # g = I passes the certificate with T = trace(g); with a bound T far
+        # above trace(g) the shift s = 2 delta + tol^2 (T + delta), linear in
+        # T, decides alone: s = 0.99 certifies and s = 1.01 does not.  A
+        # certificate that ignored T would certify both
+        cols, rows, tol = 10, 64, DEFAULT_TOL
+        g = np.eye(cols)
+        assert orbit_matrix._certifies_full_rank(g, rows, tol, np.trace(g))
+        per_t = certificate_shift(g, rows, tol, 1.0)
+        total = (0.99 if below else 1.01) / per_t
+        assert total > 1e12 * np.trace(g)
+        assert np.isclose(certificate_shift(g, rows, tol, total), 0.99 if below else 1.01)
+        assert orbit_matrix._certifies_full_rank(g, rows, tol, total) == below
+        assert not orbit_matrix._certifies_full_rank(g, rows, tol, 1e16 * cols)
+
+    def test_bound_t_is_above_the_trace_of_the_whole_gram(self, monkeypatch):
+        # T = c fl(|psi|^2) 2^-2e (1 + 4 N u) >= c |2^-e psi|^2, summed
+        # exactly in Fractions, from tiny (e just above -500) to huge scales
+        totals = []
+        certify = orbit_matrix._certifies_full_rank
+        monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", lambda g, rows, tol, total: totals.append(total) or certify(g, rows, tol, total))
+        for scale in (1.0, 2.0**-480, 1e-140, 1e150, 2.0**500):
+            psi = PureState(n=10, amps=sample_haar_state(10, 3).amps * scale)
+            totals.clear()
+            assert factorize(psi)[0] == 31
+            e = math.frexp(max(np.abs(psi.amps.real).max(), np.abs(psi.amps.imag).max()))[1]
+            parts = np.concatenate([np.ldexp(psi.amps.real, -e), np.ldexp(psi.amps.imag, -e)])
+            exact = 31 * sum(Fraction(x) ** 2 for x in parts.tolist())
+            assert len(totals) == 1 and exact <= Fraction(totals[0]) <= exact * (1 + Fraction(1, 10**9))
+
+    def test_sample_check_passes_the_table(self):
+        # the closed forms match the Gram matrix of the rows of S taken from
+        # the whole M, Haar and rotated states, n = 10..13
+        rng = np.random.default_rng(6)
+        states = [sample_haar_state(n, 80 + n) for n in range(10, 14)]
+        states += [apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)) for k in (5, 6)]
+        for psi in states:
+            g, scale = sample_gram(psi)
+            orbit_matrix._check_sample_gram(g, psi.amps, psi.n, scale)
+
+    def test_sample_check_on_every_row_is_the_table(self, monkeypatch):
+        # with S = every amplitude the closed forms reduce to the table
+        # facts `_check_gram` checks, on the whole Gram matrix: each change
+        # of a diagonal or in-triple entry that `_check_gram` rejects, the
+        # sample check rejects too, and so it does a change in the theta row
+        for n in (3, 5):
+            psi = sample_haar_state(n, 60 + n)
+            rows = np.arange(1 << n)
+            monkeypatch.setattr(orbit_matrix, "_sample_tables", lambda n: (rows, *orbit_matrix._sign_flip(rows, n, np.dtype(np.float64))))
+            data = build_matrix(psi).data
+            good = data.T @ data
+            cols = 3 * n + 1
+            orbit_matrix._check_sample_gram(good, psi.amps, n, 1.0)
+            orbit_matrix._check_gram(good, orbit_matrix.GRAM_RTOL)
+            spots = [(i, i) for i in range(cols)] + [(cols - 1, j) for j in range(cols)]
+            spots += [(a + i, a + j) for a in range(0, 3 * n, 3) for i, j in itertools.permutations(range(3), 2)]
+            for i, j in spots:
+                bad = good.copy()
+                bad[i, j] += 1e-8 * good[-1, -1]
+                with pytest.raises(AssertionError, match="inner-product table"):
+                    orbit_matrix._check_sample_gram(bad, psi.amps, n, 1.0)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("col", ["B high", "C high", "A low", "C low", "theta"])
+    def test_sample_check_catches_a_sign_flip(self, monkeypatch, n, col):
+        # a column of the sample's real rows built with the wrong sign: B or
+        # C of qubit 1, whose bit is >= b; A or C of qubit n, whose bit is
+        # < b; or theta, which only the theta row of the check sees.  The
+        # rows still have full rank, so the check is what refuses them
+        index = {"B high": 1, "C high": 2, "A low": 3 * n - 3, "C low": 3 * n - 1, "theta": 3 * n}[col]
+        build = orbit_matrix._build_real
+        psi = sample_haar_state(n, 90 + n)
+        assert factorize(psi)[0] == 3 * n + 1
+
+        def flipped(re, im, n, rows, out, *tables):
+            build(re, im, n, rows, out, *tables)
+            if not isinstance(rows, slice):
+                out[index, 0] *= -1
+
+        monkeypatch.setattr(orbit_matrix, "_build_real", flipped)
+        with pytest.raises(AssertionError, match="inner-product table on the row sample"):
+            factorize(psi)
+
+    def test_same_rank_and_kernel_bytes_without_the_sample(self, monkeypatch):
+        # Haar states n = 10..14 (each decided by S), every exact family to
+        # n = 12 as floats and LU-rotated, a state that is zero on S and its
+        # flips, and tiny and huge copies: rank and kernel bytes equal those
+        # of the full path alone
+        rng = np.random.default_rng(12)
+        states = [sample_haar_state(n, 100 + n) for n in range(10, 15)]
+        states += [psi for _, *copies in float_copies(12, seed=7) for psi in copies]
+        amps = sample_haar_state(12, 5).amps.copy()
+        rows, _, flip = orbit_matrix._sample_tables(12)
+        amps[rows], amps[flip.ravel()] = 0, 0
+        rotated = apply_group(random_local_unitary(11, rng), make_singlet_product_plus_zero(5))
+        states += [PureState(n=12, amps=amps)]
+        states += [PureState(n=psi.n, amps=psi.amps * scale) for psi in (states[0], rotated) for scale in (1e-300, 1e150)]
+        answers = sample_decisions(monkeypatch)
+        with_sample = [factorize(psi) for psi in states]
+        assert sum(answers) >= 6
+        monkeypatch.setattr(orbit_matrix, "_sample_certifies", lambda *args: False)
+        for psi, (rank, kernel) in zip(states, with_sample):
+            full_rank, full_kernel = factorize(psi)
+            assert rank == full_rank and kernel.shape == full_kernel.shape
+            assert kernel.tobytes() == full_kernel.tobytes()
+
+    def test_only_multi_block_float_states_try_the_sample(self, monkeypatch):
+        # one-block float states, exact states and the whole-matrix route of
+        # rank_float never build S; a state below 2^-500 skips it
+        answers = sample_decisions(monkeypatch)
+        factorize(sample_haar_state(9, 1))
+        factorize(make_cat(12))
+        rank_float(build_matrix(sample_haar_state(11, 1)))
+        assert answers == []
+        tiny = PureState(n=10, amps=sample_haar_state(10, 1).amps * 1e-300)
+        assert factorize(tiny)[0] == 31 and answers == [False]
+
+    def test_certified_analysis_copies_nothing_of_psi(self):
+        # tracing from after psi is built: the scale, T, the rows of S, their
+        # Gram matrix and the check stay far below psi's 16 MiB at n = 20
+        psi = sample_haar_state(20, 1)
+        tracemalloc.start()
+        try:
+            rank, kernel = factorize(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == 61 and kernel.shape == (0, 61)
+        assert peak < 1 << 20
 
 
 class TestVerifyIsotropy:
