@@ -292,7 +292,8 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
         residual_vec = sum(float(x) * _slot_columns(psi, j)[0] for x, j in zip(xi, slots))
         residual = float(np.linalg.norm(residual_vec))
         scale = psi.norm() * sum(abs(float(x)) for x in xi)
-        if residual > HYPOTHESIS_RTOL * scale:
+        # `not <=` so that a NaN fails too
+        if not residual <= HYPOTHESIS_RTOL * scale:
             raise HypothesisViolationError(
                 "sum xi_i A_{j_i}|psi> does not vanish", residual
             )
@@ -305,7 +306,7 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
         l, lp = params["l"], params["lp"]
         diff = _slot_columns(psi, l)[::2] - _slot_columns(psi, lp)[::2]
         residual = float(max(map(np.linalg.norm, diff)))
-        if residual > HYPOTHESIS_RTOL * psi.norm():
+        if not residual <= HYPOTHESIS_RTOL * psi.norm():
             raise HypothesisViolationError(
                 "A and C columns of the two slots do not coincide", residual
             )

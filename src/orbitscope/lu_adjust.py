@@ -5,10 +5,18 @@ The lift uses the quaternion picture: under (A, B, C) <-> (i, j, k) a unit
 quaternion q acts on pure quaternions by x -> q x q~ with rotation matrix
 Rot(q), and the matrix U corresponding to q~ then satisfies
 U^dag X U = Rot(q)(X).
+
+Objects of at most four entries (frame vectors, quaternions, the lift's
+sign rule and U) are computed on Python floats, each in the order of
+operations numpy would use, so their values are numpy's to the bit; a
+numpy call on a 3-vector costs several microseconds, its float
+expression a fraction of one.  Numpy keeps the work the size of psi and
+the validators' matrix checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,10 @@ INTERSECTION_TOL = 1e-8
 # the bound on |R^T R - I| entrywise that a rotation, and a frame, must meet
 ORTHONORMAL_ATOL = 1e-12
 _EYE3 = np.eye(3)
+# the basis stack as rows of four entries: c @ _BASIS_ROWS is the flattened
+# t A + r B + s C for coordinates c = (t, r, s), and R^T @ _BASIS_ROWS the
+# flattened images of A, B and C under the rotation R
+_BASIS_ROWS = SU2_BASIS.reshape(3, 4)
 
 
 class DegenerateIntersectionError(ValueError):
@@ -50,14 +62,14 @@ class SO3Rotation:
             raise ValueError("rotation must be a 3x3 matrix")
         if not within_atol(r.T @ r, _EYE3, ORTHONORMAL_ATOL):
             raise ValueError("matrix is not orthogonal")
-        if abs(np.linalg.det(r) - 1) > 1e-12:
+        if not abs(np.linalg.det(r) - 1) <= 1e-12:
             raise ValueError("matrix must have determinant +1")
         r.setflags(write=False)
         object.__setattr__(self, "matrix", r)
 
     def apply_su2(self, x: np.ndarray) -> np.ndarray:
         """Image of a 2x2 su(2) matrix under the rotation of coordinates."""
-        return np.tensordot(self.matrix @ su2_coordinates(x), SU2_BASIS, 1)
+        return ((self.matrix @ su2_coordinates(x)) @ _BASIS_ROWS).reshape(2, 2)
 
 
 def su2_coordinates(x: np.ndarray) -> np.ndarray:
@@ -74,46 +86,70 @@ def so3_from_frame(first, second=None) -> SO3Rotation:
     here, in the frame's terms: a squared length or a dot product off by
     more than ORTHONORMAL_ATOL.
     """
-    first = np.asarray(first, dtype=float)
+    first = np.asarray(first, dtype=float).tolist()
+    f0, f1, f2 = first
     if second is None:
-        # any unit vector orthogonal to `first` works for the middle column
-        probe = np.eye(3)[int(np.argmin(np.abs(first)))]
-        middle = probe - np.dot(probe, first) * first
-        middle /= np.linalg.norm(middle)
-        r = np.column_stack([first, middle, np.cross(first, middle)])
+        # any unit vector orthogonal to `first` works for the middle column:
+        # the axis e_i of first's first smallest entry, less its projection
+        size = [abs(f0), abs(f1), abs(f2)]
+        i = size.index(min(size))
+        middle = [float(j == i) - first[i] * f for j, f in enumerate(first)]
+        norm = float(np.linalg.norm(middle))
+        m0, m1, m2 = (m / norm for m in middle)
+        # first x middle, as np.cross orders it
+        r = np.array([
+            [f0, m0, f1 * m2 - f2 * m1],
+            [f1, m1, f2 * m0 - f0 * m2],
+            [f2, m2, f0 * m1 - f1 * m0],
+        ])
     else:
-        second = np.asarray(second, dtype=float)
-        r = np.column_stack([first, np.cross(second, first), second])
-    gram = r.T @ r
+        s0, s1, s2 = np.asarray(second, dtype=float).tolist()
+        # second x first, as np.cross orders it
+        r = np.array([
+            [f0, s1 * f2 - s2 * f1, s0],
+            [f1, s2 * f0 - s0 * f2, s1],
+            [f2, s0 * f1 - s1 * f0, s2],
+        ])
+    g = (r.T @ r).tolist()
     # `not <=` so that a NaN fails too
-    if not abs(gram[0, 0] - 1) <= ORTHONORMAL_ATOL:
+    if not abs(g[0][0] - 1) <= ORTHONORMAL_ATOL:
         raise ValueError("first image vector must be unit length")
-    if second is not None and not abs(gram[2, 2] - 1) <= ORTHONORMAL_ATOL:
+    if second is not None and not abs(g[2][2] - 1) <= ORTHONORMAL_ATOL:
         raise ValueError("second image vector must be unit length")
-    if not within_atol(gram, _EYE3, ORTHONORMAL_ATOL):
+    # within_atol(gram, I, ORTHONORMAL_ATOL), entry by entry
+    if not all(
+        abs(v - (a == b)) <= ORTHONORMAL_ATOL
+        for a, row in enumerate(g)
+        for b, v in enumerate(row)
+    ):
         raise ValueError("image vectors must be orthogonal")
     return SO3Rotation(r)
 
 
-def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
+def _quaternion_from_rotation(r: np.ndarray) -> list[float]:
     """Unit quaternion q = (w, x, y, z) with Rot(q) = r (Shepperd's method)."""
-    trace = np.trace(r)
+    m = r.tolist()
+    diag = [m[0][0], m[1][1], m[2][2]]
+    trace = diag[0] + diag[1] + diag[2]
     if trace > 0:
-        w = 0.5 * np.sqrt(1.0 + trace)
-        x = (r[2, 1] - r[1, 2]) / (4 * w)
-        y = (r[0, 2] - r[2, 0]) / (4 * w)
-        z = (r[1, 0] - r[0, 1]) / (4 * w)
+        w = 0.5 * math.sqrt(1.0 + trace)
+        q = [
+            w,
+            (m[2][1] - m[1][2]) / (4 * w),
+            (m[0][2] - m[2][0]) / (4 * w),
+            (m[1][0] - m[0][1]) / (4 * w),
+        ]
     else:
-        i = int(np.argmax(np.diag(r)))
+        # the first largest diagonal entry, as np.argmax picks it
+        i = diag.index(max(diag))
         j, k = (i + 1) % 3, (i + 2) % 3
-        q = np.empty(4)
-        q[i + 1] = 0.5 * np.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k])
-        q[0] = (r[k, j] - r[j, k]) / (4 * q[i + 1])
-        q[j + 1] = (r[j, i] + r[i, j]) / (4 * q[i + 1])
-        q[k + 1] = (r[k, i] + r[i, k]) / (4 * q[i + 1])
-        w, x, y, z = q
-    q = np.array([w, x, y, z])
-    return q / np.linalg.norm(q)
+        q = [0.0] * 4
+        q[i + 1] = 0.5 * math.sqrt(1.0 + m[i][i] - m[j][j] - m[k][k])
+        q[0] = (m[k][j] - m[j][k]) / (4 * q[i + 1])
+        q[j + 1] = (m[j][i] + m[i][j]) / (4 * q[i + 1])
+        q[k + 1] = (m[k][i] + m[i][k]) / (4 * q[i + 1])
+    norm = float(np.linalg.norm(q))
+    return [v / norm for v in q]
 
 
 def su2_lift(rotation: SO3Rotation) -> SU2GroupElement:
@@ -124,17 +160,15 @@ def su2_lift(rotation: SO3Rotation) -> SU2GroupElement:
     """
     w, x, y, z = _quaternion_from_rotation(rotation.matrix)
     # U corresponds to the conjugate quaternion (w, -x, -y, -z)
-    x, y, z = -x, -y, -z
-    comps = np.array([w, x, y, z])
-    first_nonzero = next(v for v in comps if abs(v) > 1e-12)
-    if first_nonzero < 0:
-        comps = -comps
+    comps = [w, -x, -y, -z]
+    if next(v for v in comps if abs(v) > 1e-12) < 0:
+        comps = [-v for v in comps]
     w, x, y, z = comps
     u = np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
     # U^dag (A, B, C) U against the rotated basis, all three at once:
     # image m is sum_i R[i, m] (A, B, C)_i
-    lifted = u.conj().T @ SU2_BASIS @ u
-    if not within_atol(lifted, np.tensordot(rotation.matrix.T, SU2_BASIS, 1), 1e-10):
+    lifted = (u.conj().T @ SU2_BASIS @ u).reshape(3, 4)
+    if not within_atol(lifted, rotation.matrix.T @ _BASIS_ROWS, 1e-10):
         raise RuntimeError("adjoint lift verification failed")
     return SU2GroupElement(u)
 
@@ -149,8 +183,10 @@ def triple_span_dim(psi: PureState, slots, tol: float = DEFAULT_TOL) -> int:
     slots = sorted(set(slots))
     if not slots:
         raise ValueError("slot subset must be nonempty")
-    stacked = np.hstack([_real_triple_matrix(psi, k) for k in slots])
-    return numerical_rank(stacked, tol)
+    # one row per column identification: the transpose of the parts'
+    # column-stacked matrix, with the same singular values
+    rows = np.concatenate([triple_columns(psi, k) for k in slots]).view(float)
+    return numerical_rank(rows, tol)
 
 
 def adjust_dependency(
@@ -166,24 +202,32 @@ def adjust_dependency(
     slots = list(slots)
     if len(slots) != len(phi_coeffs) or len(slots) != len(xi):
         raise ValueError("slots, phi_coeffs and xi must have equal length")
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"slots must be distinct, got {slots}")
+    xi = [float(x) for x in xi]
+    if not all(map(math.isfinite, xi)):
+        raise ValueError(f"xi must be finite, got {xi}")
+    vecs = [np.asarray(coeffs, dtype=float) for coeffs in phi_coeffs]
+    if not all(np.isfinite(vec).all() for vec in vecs):
+        raise ValueError("phi_coeffs must be finite")
     directions = []
     xi_scaled = []
-    for coeffs, x in zip(phi_coeffs, xi):
-        vec = np.asarray(coeffs, dtype=float)
+    for vec, x in zip(vecs, xi):
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise ValueError("phi coefficient vector must be nonzero")
         directions.append(vec / norm)
-        xi_scaled.append(float(x) * norm)
+        xi_scaled.append(x * norm)
 
     # hypothesis: sum xi_i phi_i = 0 with phi_i in <T_{j_i}>
     phi_sum = sum(
-        on_qubit(x * np.tensordot(direction, SU2_BASIS, 1), psi.amps, j)
+        on_qubit(x * (direction @ _BASIS_ROWS).reshape(2, 2), psi.amps, j)
         for j, direction, x in zip(slots, directions, xi_scaled)
     )
     scale = psi.norm() * max(1.0, sum(abs(x) for x in xi_scaled))
     residual = float(np.linalg.norm(phi_sum))
-    if residual > 1e-10 * scale:
+    # `not <=` so that a NaN fails too
+    if not residual <= 1e-10 * scale:
         raise HypothesisViolationError("sum xi_i phi_i does not vanish", residual)
 
     factors = [SU2GroupElement.identity() for _ in range(psi.n)]
@@ -196,7 +240,7 @@ def adjust_dependency(
         x * on_qubit(A_MATRIX, psi_adj.amps, j) for j, x in zip(slots, xi_scaled)
     )
     post_residual = float(np.linalg.norm(post))
-    if post_residual > 1e-10 * scale:
+    if not post_residual <= 1e-10 * scale:
         raise RuntimeError(
             f"adjusted A-column dependency residual too large: {post_residual:.3e}"
         )
@@ -212,11 +256,15 @@ def adjust_two_common(
     triple spans to be at least two dimensional; two orthogonal intersection
     vectors become the common A and C images.
     """
+    if l == lp:
+        raise ValueError(f"slots l and lp must differ, got {l} twice")
     if triple_span_dim(psi, [l, lp]) > 4:
         raise HypothesisViolationError(
             "triples span more than four dimensions", float("nan")
         )
     norm = psi.norm()
+    # the operands stay 2^{n+1} x 3 and C-ordered: in another layout BLAS
+    # sums the product below in another order, and the frames move by ulps
     q_l = _real_triple_matrix(psi, l) / norm
     q_lp = _real_triple_matrix(psi, lp) / norm
     # principal angles between the triple spans: singular values near 1
@@ -239,7 +287,7 @@ def adjust_two_common(
     a_and_c = SU2_BASIS[::2]
     diff = on_qubit(a_and_c, psi_adj.amps, l) - on_qubit(a_and_c, psi_adj.amps, lp)
     residual = float(max(map(np.linalg.norm, diff)))
-    if residual > 1e-10 * norm:
+    if not residual <= 1e-10 * norm:
         raise RuntimeError(
             f"adjusted common-column residual too large: {residual:.3e}"
         )

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitscope.inner_products import HypothesisViolationError
+from orbitscope import lu_adjust
+from orbitscope.inner_products import HypothesisViolationError, orthogonality_report
 from orbitscope.lie_action import (
     A_MATRIX,
     B_MATRIX,
     C_MATRIX,
+    SU2_BASIS as SU2_STACK,
     SU2GroupElement,
     Su2Coordinates,
     random_su2,
@@ -26,7 +30,7 @@ from orbitscope.lu_adjust import (
     su2_lift,
     triple_span_dim,
 )
-from orbitscope.orbit_matrix import orbit_dimension
+from orbitscope.orbit_matrix import DEFAULT_TOL, numerical_rank, orbit_dimension
 from orbitscope.states import (
     MultiIndex,
     make_basis,
@@ -47,6 +51,106 @@ def adjoint_rotation(u):
 
 def random_rotation(rng):
     return SO3Rotation(adjoint_rotation(random_su2(rng).matrix))
+
+
+# The numpy formulations of the frame, quaternion, lift and span functions,
+# kept as oracles: lu_adjust computes the same quantities on Python floats in
+# the same order of operations, and must reproduce these to the bit.
+
+
+def np_so3_from_frame(first, second=None):
+    first = np.asarray(first, dtype=float)
+    if second is None:
+        probe = np.eye(3)[int(np.argmin(np.abs(first)))]
+        middle = probe - np.dot(probe, first) * first
+        middle /= np.linalg.norm(middle)
+        r = np.column_stack([first, middle, np.cross(first, middle)])
+    else:
+        second = np.asarray(second, dtype=float)
+        r = np.column_stack([first, np.cross(second, first), second])
+    gram = r.T @ r
+    if not abs(gram[0, 0] - 1) <= ORTHONORMAL_ATOL:
+        raise ValueError("first image vector must be unit length")
+    if second is not None and not abs(gram[2, 2] - 1) <= ORTHONORMAL_ATOL:
+        raise ValueError("second image vector must be unit length")
+    if not within_atol(gram, np.eye(3), ORTHONORMAL_ATOL):
+        raise ValueError("image vectors must be orthogonal")
+    return SO3Rotation(r)
+
+
+def np_quaternion_from_rotation(r):
+    trace = np.trace(r)
+    if trace > 0:
+        w = 0.5 * np.sqrt(1.0 + trace)
+        x = (r[2, 1] - r[1, 2]) / (4 * w)
+        y = (r[0, 2] - r[2, 0]) / (4 * w)
+        z = (r[1, 0] - r[0, 1]) / (4 * w)
+    else:
+        i = int(np.argmax(np.diag(r)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = np.empty(4)
+        q[i + 1] = 0.5 * np.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k])
+        q[0] = (r[k, j] - r[j, k]) / (4 * q[i + 1])
+        q[j + 1] = (r[j, i] + r[i, j]) / (4 * q[i + 1])
+        q[k + 1] = (r[k, i] + r[i, k]) / (4 * q[i + 1])
+        w, x, y, z = q
+    q = np.array([w, x, y, z])
+    return q / np.linalg.norm(q)
+
+
+def np_su2_lift(rotation):
+    w, x, y, z = np_quaternion_from_rotation(rotation.matrix)
+    x, y, z = -x, -y, -z
+    comps = np.array([w, x, y, z])
+    first_nonzero = next(v for v in comps if abs(v) > 1e-12)
+    if first_nonzero < 0:
+        comps = -comps
+    w, x, y, z = comps
+    u = np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
+    lifted = u.conj().T @ SU2_STACK @ u
+    if not within_atol(lifted, np.tensordot(rotation.matrix.T, SU2_STACK, 1), 1e-10):
+        raise RuntimeError("adjoint lift verification failed")
+    return SU2GroupElement(u)
+
+
+def np_triple_span_dim(psi, slots, tol=DEFAULT_TOL):
+    stacked = np.hstack([
+        np.column_stack([vec.view(float) for vec in triple_columns(psi, k)])
+        for k in sorted(set(slots))
+    ])
+    return numerical_rank(stacked, tol)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(fn, *args):
+    """('ok', bytes of the matrix) or (exception type, message)."""
+    try:
+        result = fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return "ok", np.asarray(result.matrix).tobytes()
+
+
+def rotation_about(axis, angle):
+    """Rodrigues' rotation by `angle` about the unit `axis`."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def quaternion_branch(r):
+    """'trace' or the index of the diagonal entry Shepperd's method pivots on."""
+    return "trace" if np.trace(r) > 0 else int(np.argmax(np.diag(r)))
+
+
+def lift_flips(r):
+    """Whether the sign rule negates the conjugate quaternion."""
+    w, x, y, z = np_quaternion_from_rotation(r)
+    return next(v for v in (w, -x, -y, -z) if abs(v) > 1e-12) < 0
 
 
 class TestSu2Coordinates:
@@ -292,13 +396,22 @@ class TestTripleSpanDim:
 
     def test_singlet_pair_overlap(self):
         # the two triples of a singlet coincide as subspaces
-        assert triple_span_dim(make_singlet_product(1), [1, 2]) == 3
+        psi = make_singlet_product(1)
+        assert triple_span_dim(psi, [1, 2]) == np_triple_span_dim(psi, [1, 2]) == 3
 
     def test_cat2_overlap(self):
-        assert triple_span_dim(make_cat(2), [1, 2]) == 3
+        psi = make_cat(2)
+        assert triple_span_dim(psi, [1, 2]) == np_triple_span_dim(psi, [1, 2]) == 3
 
     def test_generic_state(self):
-        assert triple_span_dim(sample_haar_state(2, 8), [1, 2]) == 5
+        psi = sample_haar_state(2, 8)
+        assert triple_span_dim(psi, [1, 2]) == np_triple_span_dim(psi, [1, 2]) == 5
+        psi = sample_haar_state(3, 8)
+        assert triple_span_dim(psi, [1, 2]) == np_triple_span_dim(psi, [1, 2]) == 6
+        # repeated and unordered slots name the same set
+        assert triple_span_dim(psi, [3, 1, 3]) == np_triple_span_dim(psi, [3, 1, 3]) == 6
+        psi = make_singlet_product(2)
+        assert triple_span_dim(psi, [1, 2, 3, 4]) == np_triple_span_dim(psi, [1, 2, 3, 4]) == 6
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -393,3 +506,169 @@ class TestAdjustTwoCommon:
     def test_rejects_wide_span(self):
         with pytest.raises(HypothesisViolationError):
             adjust_two_common(sample_haar_state(2, 8), 1, 2)
+
+
+class TestInputBoundary:
+    """Non-finite coefficients and repeated slots are refused before any
+    work is done, each with a ValueError that names the argument."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_xi(self, bad):
+        psi = make_singlet_product(1)
+        for xi in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="xi must be finite"):
+                adjust_dependency(psi, [1, 2], [(0, 1, 0)] * 2, xi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_phi_coeffs(self, bad):
+        psi = make_singlet_product(1)
+        for coeffs in ([(0, bad, 0), (0, 1, 0)], [(0, 1, 0), (bad, 1, 0)]):
+            with pytest.raises(ValueError, match="phi_coeffs must be finite"):
+                adjust_dependency(psi, [1, 2], coeffs, [1.0, 1.0])
+
+    def test_nan_xi_fails_the_main_report_hypothesis(self):
+        # a NaN residual is no residual within the bound
+        psi = make_singlet_product(1)
+        with pytest.raises(HypothesisViolationError):
+            orthogonality_report(psi, "main", slots=[1, 2], xi=[math.nan, 1.0])
+
+    def test_repeated_slots(self):
+        psi = make_singlet_product(2)
+        with pytest.raises(ValueError, match="slots l and lp must differ"):
+            adjust_two_common(psi, 1, 1)
+        with pytest.raises(ValueError, match="slots must be distinct"):
+            adjust_dependency(psi, [1, 1], [(0, 1, 0)] * 2, [1.0, 1.0])
+        with pytest.raises(ValueError, match="slots must be distinct"):
+            adjust_dependency(psi, [3, 4, 3], [(0, 1, 0)] * 3, [1.0, 1.0, 1.0])
+
+
+class TestFloatFormulationBits:
+    """so3_from_frame, _quaternion_from_rotation and su2_lift against the
+    numpy oracles above, bit for bit (triple_span_dim: TestTripleSpanDim)."""
+
+    def test_directions(self):
+        rng = np.random.default_rng(101)
+        directions = [np.eye(3)[i] * sign for i in range(3) for sign in (1.0, -1.0)]
+        directions += [np.array([0.0, -0.0, 1.0]), np.array([-0.0, 1.0, 0.0]), np.full(3, 3**-0.5)]
+        for _ in range(300):
+            vec = rng.standard_normal(3) * rng.choice([1e-6, 1.0, 1e6])
+            vec[rng.integers(3)] *= rng.choice([1.0, 0.0, -0.0])
+            directions.append(vec / np.linalg.norm(vec))
+        for d in directions:
+            new, old = so3_from_frame(d), np_so3_from_frame(d)
+            assert same_bits(new.matrix, old.matrix), d
+            assert same_bits(su2_lift(new).matrix, np_su2_lift(old).matrix), d
+            # plain lists are taken as arrays are
+            assert same_bits(so3_from_frame(list(d)).matrix, old.matrix)
+
+    def test_frames(self):
+        rng = np.random.default_rng(103)
+        frames = [(np.eye(3)[i], np.eye(3)[j]) for i in range(3) for j in range(3) if i != j]
+        for _ in range(300):
+            left, _, right = np.linalg.svd(rng.standard_normal((3, 3)))
+            frames += [(left[:, 0], left[:, 1]), (right[0], right[1])]
+        for first, second in frames:
+            new, old = so3_from_frame(first, second), np_so3_from_frame(first, second)
+            assert same_bits(new.matrix, old.matrix)
+            assert same_bits(su2_lift(new).matrix, np_su2_lift(old).matrix)
+
+    def test_quaternion_branches(self):
+        rng = np.random.default_rng(107)
+        rotations = [SO3Rotation(np.eye(3))]
+        rotations += [SO3Rotation(np.diag(d)) for d in ([1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1])]
+        # diagonal ties: two-way (a half-turn about (1, 1, 0)) and three-way
+        rotations += [SO3Rotation(np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, -1]]))]
+        rotations += [SO3Rotation(np.full((3, 3), 2 / 3) - np.eye(3))]
+        for _ in range(400):
+            axis = rng.standard_normal(3)
+            angle = rng.uniform(0, np.pi) if rng.random() < 0.3 else rng.uniform(2 * np.pi / 3, np.pi)
+            rotations.append(SO3Rotation(rotation_about(axis, angle)))
+        branches, ties, flips = set(), 0, 0
+        for rot in rotations:
+            r = rot.matrix
+            branches.add(quaternion_branch(r))
+            diag = np.diag(r)
+            ties += quaternion_branch(r) != "trace" and int(np.sum(diag == diag.max())) > 1
+            flips += lift_flips(r)
+            new = lu_adjust._quaternion_from_rotation(r)
+            assert same_bits(np.array(new), np_quaternion_from_rotation(r)), r
+            assert same_bits(su2_lift(rot).matrix, np_su2_lift(rot).matrix), r
+        assert branches == {"trace", 0, 1, 2}
+        assert ties >= 2
+        assert 0 < flips < len(rotations)
+
+    def test_refusals_keep_their_messages(self):
+        bad_frames = [
+            ([1 + 5e-11, 0.0, 0.0],),
+            ([0.0, 0.0, 0.0],),
+            ([1 + 5e-11, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            ([1.0, 0.0, 0.0], [0.0, 1 + 5e-11, 0.0]),
+            ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([1.0, 0.0, 0.0], [5e-11, 1.0, 0.0]),
+        ]
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(3):
+                vec = [0.0, 0.0, 1.0]
+                vec[i] = bad
+                bad_frames += [(vec,), (vec, [0.0, 1.0, 0.0]), ([0.0, 1.0, 0.0], vec)]
+        rng = np.random.default_rng(109)
+        for _ in range(200):
+            left = np.linalg.svd(rng.standard_normal((3, 3)))[0]
+            eps = 10.0 ** rng.uniform(-14, -9)
+            bad_frames += [(left[:, 0] + eps * rng.standard_normal(3),),
+                           (left[:, 0], left[:, 1] + eps * rng.standard_normal(3))]
+        refused = set()
+        for args in bad_frames:
+            with np.errstate(invalid="ignore", over="ignore"):  # matmul and np.cross on NaN
+                new, old = outcome(so3_from_frame, *args), outcome(np_so3_from_frame, *args)
+            assert new == old, args
+            if new[0] != "ok":
+                refused.add(new[1])
+        assert refused == {
+            "first image vector must be unit length",
+            "second image vector must be unit length",
+            "image vectors must be orthogonal",
+        }
+        for matrix, message in (
+            (np.ones((3, 3)), "matrix is not orthogonal"),
+            (np.diag([1.0, 1.0, -1.0]), "matrix must have determinant \\+1"),
+            (np.eye(2), "rotation must be a 3x3 matrix"),
+            (np.diag([np.nan, 1.0, 1.0]), "matrix is not orthogonal"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SO3Rotation(matrix)
+        for matrix, message in (
+            (np.diag([1 + 4e-12, 1 / (1 + 4e-12)]), "matrix is not unitary"),
+            (np.diag([1.0, -1.0]), "matrix must have determinant 1"),
+            (np.eye(3), "SU\\(2\\) element must be a 2x2 matrix"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SU2GroupElement(matrix)
+        # rotations that skipped SO3Rotation's checks reach the lift check
+        for matrix in (np.diag([1 + 4e-6, 1 / (1 + 4e-6), 1.0]), np.diag([1.0, 1.0, -1.0])):
+            rot = object.__new__(SO3Rotation)
+            object.__setattr__(rot, "matrix", matrix)
+            with pytest.raises(RuntimeError, match="adjoint lift verification failed"):
+                su2_lift(rot)
+            assert outcome(su2_lift, rot) == outcome(np_su2_lift, rot)
+
+    def test_adjustments_match_the_oracles(self, monkeypatch):
+        # both adjustments run on the oracles give the same bits: the float
+        # formulations change nothing downstream of the lift
+        runs = []
+        for patch in (False, True):
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(lu_adjust, "so3_from_frame", np_so3_from_frame)
+                    m.setattr(lu_adjust, "su2_lift", np_su2_lift)
+                rng = np.random.default_rng(113)
+                out = []
+                for k in (1, 2, 3):
+                    psi = make_singlet_product(k)
+                    slots = [2 * k - 1, 2 * k]
+                    coeffs = rng.standard_normal(3)
+                    _, dep = adjust_dependency(psi, slots, [coeffs, coeffs], [1.0, 1.0])
+                    _, two = adjust_two_common(psi, *slots)
+                    out.append(dep.amps.tobytes() + two.amps.tobytes())
+                runs.append(out)
+        assert runs[0] == runs[1]
