@@ -288,6 +288,8 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
 
     if scenario == "main":
         slots = list(params["slots"])
+        if len(set(slots)) != len(slots):
+            raise ValueError(f"slots must be distinct, got {slots}")
         xi = list(params["xi"])
         residual_vec = sum(float(x) * _slot_columns(psi, j)[0] for x, j in zip(xi, slots))
         residual = float(np.linalg.norm(residual_vec))
@@ -304,6 +306,8 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
 
     if scenario == "two-common":
         l, lp = params["l"], params["lp"]
+        if l == lp:
+            raise ValueError(f"slots l and lp must differ, got {l} twice")
         diff = _slot_columns(psi, l)[::2] - _slot_columns(psi, lp)[::2]
         residual = float(max(map(np.linalg.norm, diff)))
         if not residual <= HYPOTHESIS_RTOL * psi.norm():

@@ -291,46 +291,39 @@ def _factorize_float(fill, n: int, tol: float) -> tuple[int, np.ndarray]:
     """Rank and an orthonormal kernel basis (rows) of a float M whose row
     blocks `fill` writes (see `_state_fill`).
 
-    One pass over the row blocks sums the Gram matrix g = M^T M, one BLAS
-    T T^T per block T, each block written into the block region of the
-    TSQR workspace W below; g is checked against the inner-product table.
-    When g proves full rank (`_certifies_full_rank`), which almost every
-    float state has, that is the answer, with an empty kernel.
+    One pass over the row blocks, first to last, writes each block once
+    into the one Fortran-ordered workspace W, adds its BLAS T T^T to the
+    Gram matrix g = M^T M and, once the next block is due, folds it into
+    sequential TSQR: W's top 3n+1 rows hold the triangular factor R of the
+    rows folded so far (zero at first), and an in-place QR of W leaves R of
+    [R; block] on top, whose Householder vectors are zero below the
+    diagonal of R, so W's top rows stay exactly triangular.  A block's rows
+    are ordered (part, amplitude), not interleaved; a row permutation
+    leaves R^T R unchanged.
 
-    Otherwise sequential TSQR in the one Fortran-ordered workspace W: its
-    top 3n+1 rows hold the triangular factor R of the rows folded so far
-    (zero at first), `fill` writes the next block into the rest of W, and an
-    in-place QR of W leaves R of [R; block] on top, so that R^T R = M^T M and
-    no more than R and one block are factorized at once.  The Gram pass runs
-    over the blocks backwards, so the first block is already in W.  The
-    Householder vectors of [R; block] are zero below the diagonal of R, so
-    W's top rows stay exactly triangular.  A block's rows are ordered (part,
-    amplitude), not interleaved; a row permutation leaves R^T R unchanged.
-    R has the singular values of M, so one SVD of R gives both answers: the
-    rank counts those above tol times the largest (`_sigma_rank`), and the
-    trailing right singular vectors span the kernel.
+    When g, checked against the inner-product table, proves full rank
+    (`_certifies_full_rank`), as for almost every float state, that is the
+    answer, with an empty kernel and the last block never folded.
+    Otherwise the last fold completes R, R^T R = M^T M, and one SVD of R
+    gives both answers: the rank counts the singular values above tol times
+    the largest (`_sigma_rank`), and the trailing right singular vectors
+    span the kernel.
     """
     cols, amps = 3 * n + 1, min(1 << n, BLOCK_AMPS)
     w = np.empty((cols + 2 * amps, cols), order="F")
     w[:cols] = 0  # R; `fill` writes every block below it
     t = w.T[:, cols:]  # a view: W.T is C-ordered
     block = t.reshape(cols, 2, amps)
-    starts = range(0, 1 << n, amps)
-
-    def block_gram(lo):
+    fill(slice(0, amps), block)
+    g = t @ t.T
+    for lo in range(amps, 1 << n, amps):
+        _qr_in_place(w)
         fill(slice(lo, lo + amps), block)
-        return t @ t.T
-
-    g = block_gram(starts[-1])
-    for lo in reversed(starts[:-1]):
-        g += block_gram(lo)
+        g += t @ t.T
     _check_gram(g, GRAM_RTOL)
     if _certifies_full_rank(g, 2 << n, tol, g.trace()):
         return cols, np.zeros((0, cols))
-    for lo in starts:
-        if lo:
-            fill(slice(lo, lo + amps), block)
-        _qr_in_place(w)
+    _qr_in_place(w)
     _, s, vt = np.linalg.svd(w[:cols])
     rank = _sigma_rank(s, tol)
     return rank, vt[rank:]
@@ -411,7 +404,7 @@ def _check_sample_gram(g: np.ndarray, amps: np.ndarray, n: int, scale: float) ->
         raise AssertionError("Gram matrix breaks the inner-product table on the row sample")
 
 
-def _sample_certifies(psi: PureState, tol: float) -> bool:
+def _sample_certifies(psi: PureState, e: int, tol: float) -> bool:
     """Whether the rows of M for the amplitudes S of `_sample_tables` alone
     prove that M has full rank, for a float state; only a yes is an answer.
 
@@ -422,9 +415,9 @@ def _sample_certifies(psi: PureState, tol: float) -> bool:
     (`_check_sample_gram`); a no draws nothing from g, and the full path
     decides, checking all of M.
 
-    Nothing of the size of psi is copied.  The power of two 2^-e that brings
-    the largest real or imaginary part to [1/2, 1) comes from four
-    reductions, and scales only the rows of S.  T is c fl(|psi|^2) 2^-2e
+    Nothing of the size of psi is copied.  The power of two 2^-e brings
+    the largest real or imaginary part to [1/2, 1) (`factorize`), and
+    scales only the rows of S.  T is c fl(|psi|^2) 2^-2e
     (1 + 4 N u), N = 2^n: the one `vdot` sums 2N rounded nonnegative
     squares, within gamma_{2N+1} of the exact sum (Higham, sec. 3.1);
     underflow loses at most 2N 2^-1075 in all, below N 2^-74 of |psi|^2 >=
@@ -434,7 +427,6 @@ def _sample_certifies(psi: PureState, tol: float) -> bool:
     and the three roundings of T for N >= 2^10.
     """
     n, cols, amps = psi.n, 3 * psi.n + 1, psi.amps
-    e = math.frexp(max(amps.real.max(), -amps.real.min(), amps.imag.max(), -amps.imag.min()))[1]
     if e < -500:
         return False
     scale = 2.0**-e
@@ -548,23 +540,25 @@ def factorize(psi: PureState, tol: float = DEFAULT_TOL) -> tuple[int, list | np.
 
     Float state of more than one row block: first the Gram matrix of the
     rows of a sample S of amplitudes, which proves full rank for almost
-    every state (`_sample_certifies`).  Otherwise (`_factorize_float`) the
-    float Gram matrix of all of M, whose shifted Cholesky factorization
-    proves full rank for almost every one-block state; when it cannot, TSQR
-    and one SVD of the (3n+1)^2 factor R, tol deciding the rank from its
-    singular values.  The kernel is an orthonormal array of row vectors.
+    every state (`_sample_certifies`).  Otherwise (`_factorize_float`) one
+    pass over the row blocks sums the float Gram matrix of all of M, whose
+    shifted Cholesky factorization proves full rank for almost every
+    one-block state, and folds them into a TSQR; when g cannot decide, one
+    SVD of the (3n+1)^2 factor R, tol deciding the rank from its singular
+    values.  The kernel is an orthonormal array of row vectors.
     Exact state: the integer Gram matrix summed over the rows that can be
     nonzero (`_live_rows`, `_gram`) and eliminated with no tolerance
     (`_factorize_exact`); the kernel is a list of Fraction tuples.
     """
     if psi.is_exact:
         return _factorize_exact(_gram(_state_fill(psi), psi.n, max_abs(psi.num), _live_rows(psi.num, psi.n)))
-    if 1 << psi.n > BLOCK_AMPS and _sample_certifies(psi, tol):
+    # rank and kernel ignore scale: 2^-e brings the largest real or imaginary
+    # part to [1/2, 1) exactly, so the Gram check cannot underflow before its
+    # rounding error does (ldexp, as 2.0**-e overflows for a subnormal maximum)
+    parts = psi.amps.view(np.float64)
+    e = math.frexp(max(parts.max(), -parts.min()))[1]
+    if 1 << psi.n > BLOCK_AMPS and _sample_certifies(psi, e, tol):
         return 3 * psi.n + 1, np.zeros((0, 3 * psi.n + 1))
-    # rank and kernel ignore scale: a power of two brings max|amp| to [1/2, 1)
-    # exactly, so the Gram check cannot underflow before its rounding error
-    # does (ldexp, as 2.0**-e overflows for a subnormal maximum)
-    e = math.frexp(np.abs(psi.amps).max())[1]
     re, im = np.ldexp(psi.amps.real, -e), np.ldexp(psi.amps.imag, -e)
     return _factorize_float(lambda rows, out: _build_real(re, im, psi.n, rows, out), psi.n, tol)
 

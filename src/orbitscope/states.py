@@ -122,9 +122,9 @@ def _qubit_count(count: int) -> int:
 class PureState:
     """An unnormalized n-qubit state vector.
 
-    `amps` is always present as a complex float array in storage order.  An
-    exact state also holds Gaussian-integer numerators `num` over one
-    denominator `den`, an int >= 1: the amplitude vector is
+    `amps` is always present as a C-contiguous complex float array in
+    storage order.  An exact state also holds Gaussian-integer numerators
+    `num` over one denominator `den`, an int >= 1: the amplitude vector is
     (num[0] + i num[1]) / den.  The numerators are stored as int64 when
     every one is below 2**53 in magnitude and as object Python ints
     otherwise, whatever integer dtype they came in; any other dtype is
@@ -158,7 +158,7 @@ class PureState:
             ratio_to_float(num[0], self.den, out=amps.real)
             ratio_to_float(num[1], self.den, out=amps.imag)
         else:
-            amps = np.asarray(self.amps, dtype=complex)
+            amps = np.asarray(self.amps, dtype=complex, order="C")
             if amps.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
             # NaN or inf in any amplitude makes the sum NaN or inf too
@@ -255,8 +255,9 @@ def sample_haar_state(n: int, seed: int) -> PureState:
     if n < 1:
         raise ValueError("need at least one qubit")
     rng = np.random.default_rng(seed)
-    dim = 1 << n
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps = np.empty(1 << n, dtype=complex)  # re + 1j * im, without its two complex temporaries
+    amps.real = rng.standard_normal(amps.size)
+    amps.imag = rng.standard_normal(amps.size)
     return PureState(n=n, amps=amps)
 
 

@@ -463,6 +463,13 @@ class TestMainScenario:
             orthogonality_report(psi, "main", slots=[1, 2], xi=[1.0, 1.0])
         assert info.value.residual > 0
 
+    def test_rejects_repeated_slots(self):
+        # xi = (1, -1) on one slot makes the hypothesis vanish trivially
+        psi = sample_haar_state(3, 1)
+        with pytest.raises(ValueError, match=r"slots must be distinct, got \[1, 1\]"):
+            orthogonality_report(psi, "main", slots=[1, 1], xi=[1.0, -1.0])
+        assert memo_of(psi) == {}
+
 
 class TestTwoCommonScenario:
     def test_cat_state(self):
@@ -477,6 +484,13 @@ class TestTwoCommonScenario:
     def test_rejects_singlet(self):
         with pytest.raises(HypothesisViolationError):
             orthogonality_report(make_singlet_product(1), "two-common", l=1, lp=2)
+
+    def test_rejects_a_repeated_slot(self):
+        # A_l = A_lp and C_l = C_lp hold trivially for l = lp
+        psi = sample_haar_state(3, 1)
+        with pytest.raises(ValueError, match="slots l and lp must differ, got 1 twice"):
+            orthogonality_report(psi, "two-common", l=1, lp=1)
+        assert memo_of(psi) == {}
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

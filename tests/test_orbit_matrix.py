@@ -565,12 +565,13 @@ class TestIsotropy:
         # sample S, once, and one Cholesky factorization of their Gram
         # matrix, shifted, decides a full rank with nothing else built.
         # Otherwise, and for a one-block state, one pass of the row blocks,
-        # last to first, into the block region of one F-ordered workspace
-        # sums the Gram matrix, and one Cholesky factorization of it decides
-        # a full rank with no QR and no SVD.  Otherwise one in-place dgeqrf
-        # of numpy's LAPACK per row block on that same workspace, the first
-        # block left there by the Gram pass and not built again, and then
-        # one full SVD of the (3n+1)^2 factor R; no QR copy or stacked copy
+        # first to last, builds each block once into the block region of
+        # one F-ordered workspace, sums the Gram matrix and folds every
+        # block but the last by one in-place dgeqrf of numpy's LAPACK on
+        # that same workspace; one Cholesky factorization of the Gram
+        # matrix decides a full rank with no last fold and no SVD.
+        # Otherwise the last fold and one full SVD of the (3n+1)^2 factor
+        # R, with no block built again; no QR copy or stacked copy
         calls = []
         build = orbit_matrix._build_real
         original_dgeqrf = np.linalg.lapack_lite.dgeqrf
@@ -628,15 +629,14 @@ class TestIsotropy:
             folds = [call for call in calls if call[0] == "dgeqrf"]
             assert all(call[1] is w and call[2] == (*w.shape, w.shape[0]) and call[3] for call in folds)
             names = [call[0] for call in calls]
-            gram_pass = ["fill"] * len(starts) + ["cholesky"]
+            one_pass = ["fill"] + ["dgeqrf", "fill"] * (len(starts) - 1) + ["cholesky"]
             if decider == "gram":
-                assert names == gram_pass
-                assert [call[2] for call in fills] == starts[::-1]
+                assert names == one_pass
             else:
-                assert names == gram_pass + ["dgeqrf"] + ["fill", "dgeqrf"] * (len(starts) - 1) + ["svd"]
-                assert [call[2] for call in fills] == starts[::-1] + starts[1:]
+                assert names == one_pass + ["dgeqrf", "svd"]
                 assert calls[-1] == ("svd", ((cols, cols), True))
-            assert calls[len(starts)] == ("cholesky", (cols, cols))
+            assert [call[2] for call in fills] == starts
+            assert calls[len(one_pass) - 1] == ("cholesky", (cols, cols))
 
     def test_round_trip_verification(self):
         for psi in [make_cat(4), make_singlet_product(2)]:
@@ -891,12 +891,26 @@ class TestRankCertificate:
         monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", lambda *a: calls.append(("dgeqrf",)) or dgeqrf(*a))
         return calls
 
+    def whole_gram_certificate(self, calls, m):
+        """The one certificate of `calls`, asserted to see the Gram matrix
+        of every row of M, with T = trace(g), after all but the last of
+        the one pass's dgeqrf folds: one per row block but the last."""
+        folds = max(1, m.shape[0] // (2 * BLOCK_AMPS)) - 1
+        assert [call[0] for call in calls[: folds + 1]] == ["dgeqrf"] * folds + ["certificate"]
+        assert [call[0] for call in calls].count("certificate") == 1
+        _, g, rows, tol, total, answer = calls[folds]
+        assert rows == m.shape[0] and total == np.trace(g)
+        assert np.abs(g - m.data.T @ m.data).max() <= 1e-13 * total
+        return calls[folds]
+
     @pytest.mark.parametrize("n", [3, 10])
     def test_well_conditioned_matrix_takes_the_gram_exit(self, monkeypatch, n):
+        # the last block is never folded, nor R factorized
         calls = self.spy(monkeypatch)
-        assert rank_float(table_consistent_matrix(n, 1e-3, 0)) == 3 * n + 1
-        assert [call[0] for call in calls] == ["certificate", "cholesky"]
-        assert calls[1] == ("cholesky", True)
+        m = table_consistent_matrix(n, 1e-3, 0)
+        assert rank_float(m) == 3 * n + 1
+        assert self.whole_gram_certificate(calls, m)[-1] is True
+        assert calls[-2][0] == "certificate" and calls[-1] == ("cholesky", True)
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_full_rank_below_the_gram_resolution_falls_back(self, monkeypatch, n):
@@ -909,10 +923,13 @@ class TestRankCertificate:
 
     @pytest.mark.parametrize("n, seed", [(3, 0), (10, 1)])
     def test_rank_deficiency_falls_back(self, monkeypatch, n, seed):
-        # sigma_min = 1e-12 is below tol sigma_1
+        # sigma_min = 1e-12 is below tol sigma_1; the refusal folds the last
+        # block, and nothing else
         calls = self.spy(monkeypatch)
-        assert rank_float(table_consistent_matrix(n, 1e-12, seed)) == 3 * n
-        assert calls[0][-1] is False and ("cholesky", False) in calls and ("dgeqrf",) in calls
+        m = table_consistent_matrix(n, 1e-12, seed)
+        assert rank_float(m) == 3 * n
+        assert self.whole_gram_certificate(calls, m)[-1] is False
+        assert calls[-3][0] == "certificate" and calls[-2:] == [("cholesky", False), ("dgeqrf",)]
 
     @pytest.mark.parametrize("n, seed", [(3, 9), (10, 1)])
     def test_refusal_rests_on_the_error_bound(self, monkeypatch, n, seed):
@@ -921,8 +938,9 @@ class TestRankCertificate:
         # certificate refuses only because of its error bound delta, and
         # with delta = 0 it would claim full rank
         calls = self.spy(monkeypatch)
-        assert rank_float(table_consistent_matrix(n, 1e-12, seed)) == 3 * n
-        _, g, rows, tol, total, answer = calls[0]
+        m = table_consistent_matrix(n, 1e-12, seed)
+        assert rank_float(m) == 3 * n
+        _, g, rows, tol, total, answer = self.whole_gram_certificate(calls, m)
         assert not answer and total == np.trace(g)
         assert factorizes(g - tol * tol * np.trace(g) * np.eye(len(g)))
 
@@ -1161,6 +1179,23 @@ class TestSampleCertificate:
         assert answers == []
         tiny = PureState(n=10, amps=sample_haar_state(10, 1).amps * 1e-300)
         assert factorize(tiny)[0] == 31 and answers == [False]
+
+    def test_strided_input_is_stored_contiguous(self):
+        # the scale reads the amplitudes as one float64 view, which needs
+        # C-contiguous storage: a strided input is copied once, on
+        # construction, and analyzes to the bytes of its copy, whether the
+        # sample, the Gram matrix or the TSQR decides
+        rng = np.random.default_rng(9)
+        cases = [(sample_haar_state(n, 7), 3 * n + 1) for n in (6, 12)]
+        cases += [(apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)), 3 * k + 1) for k in (3, 6)]
+        for psi, expected_rank in cases:
+            x = np.zeros(2 << psi.n, dtype=complex)
+            x[::2] = psi.amps
+            strided = PureState(n=psi.n, amps=x[::2])
+            assert strided.amps.flags.c_contiguous
+            (rank, kernel), (copy_rank, copy_kernel) = factorize(strided), factorize(PureState(n=psi.n, amps=x[::2].copy()))
+            assert rank == copy_rank == expected_rank
+            assert kernel.tobytes() == copy_kernel.tobytes()
 
     def test_certified_analysis_copies_nothing_of_psi(self):
         # tracing from after psi is built: the scale, T, the rows of S, their

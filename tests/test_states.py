@@ -186,6 +186,23 @@ class TestHaarSampling:
         assert len(psi.amps) == 16
         assert np.all(np.abs(psi.amps) > 0)
 
+    @pytest.mark.parametrize("n, seed", [(1, 0), (5, 3), (13, 943177187)])
+    def test_draws_real_parts_then_imaginary_parts(self, n, seed):
+        rng = np.random.default_rng(seed)
+        expected = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        assert sample_haar_state(n, seed).amps.tobytes() == expected.tobytes()
+
+    def test_no_complex_temporaries(self):
+        n = 13
+        tracemalloc.start()
+        try:
+            psi = sample_haar_state(n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state and one part at a time; re + 1j * im peaked at 3x the state
+        assert peak < psi.amps.nbytes * 1.6
+
 
 class TestTensor:
     def test_basis_tensor(self):
