@@ -4,11 +4,9 @@ Convention: <u|v> is conjugate-linear in the LEFT argument, and under the
 interleaved real identification Re<u|v> = u'.v'.
 
 The twelve closed forms are the operator inner products <psi|L^dag R|psi>
-for L, R in {identity, A_j, B_j, C_j}.  One departure from the printed
-table: the C^dag B form carries (-1)^{i_k}, not (-1)^{i_j}; the printed
-exponent disagrees with the actual column dot products (direct evaluation
-on e.g. |00> + i|11> settles it), while (-1)^{i_k} matches them exactly.
-The single-operator forms omit a factor -i relative to the matrix column
+for L, R in {identity, A_j, B_j, C_j}, one data row each in `_FORMS`.  One
+departure from the printed table is noted on the CB row.  The
+single-operator forms omit a factor -i relative to the matrix column
 -i|psi>; their vanishing is equivalent either way.
 """
 
@@ -73,48 +71,50 @@ def _slot_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, flip
 
 
+# One row per closed form: (phase, carries (-1)^{i_j}, carries (-1)^{i_k},
+# left amplitude is c_{I_j}, right amplitude is c_{I_k}).  The value is
+# phase * sum_I conj(left_I) * sign_I * right_I.
+_FORMS = {
+    "A": (1j, False, True, False, False),
+    "B": (1, False, True, False, True),
+    "C": (1j, False, False, False, True),
+    "AA": (1, True, True, False, False),
+    "BA": (1j, True, True, True, False),
+    "CA": (1, False, True, True, False),
+    "AB": (-1j, True, True, False, True),
+    "BB": (1, True, True, True, True),
+    # the printed table has (-1)^{i_j} here; direct evaluation on e.g.
+    # |00> + i|11> shows that (-1)^{i_k} matches the column dot products
+    "CB": (-1j, False, True, True, True),
+    "AC": (1, True, False, False, True),
+    "BC": (1j, True, False, True, True),
+    "CC": (1, False, False, True, True),
+}
+
+
 def table_inner_product(psi: PureState, kind: InnerProductKind) -> complex:
     """Evaluate the closed-form sum for one table row.
 
     The sums keep the paper's bit formulas, in (-1)^{i_k} and c_{I_k}, on
     purpose: the direct side (`direct_inner_product`) applies the basis
     matrices instead, so the two sides share no derivation.  Each form is
-    one `np.vdot`, with the signs s_j = (-1)^{i_j}, s_k = (-1)^{i_k} and the
-    flips from `_slot_table`.
+    one `np.vdot` of its `_FORMS` row, with the signs s_j = (-1)^{i_j},
+    s_k = (-1)^{i_k} and the flips from `_slot_table`; s_j * s_k is formed
+    first, and a phase of 1 is not multiplied in, so signed zeros stay.
     """
     n = psi.n
     if not 1 <= kind.k <= n or (kind.j is not None and not 1 <= kind.j <= n):
         raise ValueError(f"slots out of range 1..{n}: {kind}")
+    phase, sign_j, sign_k, flip_j, flip_k = _FORMS[kind.tag]
     c = psi.amps
     sk, fk = _slot_table(n, kind.k)
-    tag = kind.tag
-    if tag == "A":
-        return complex(1j * np.vdot(c, sk * c))
-    if tag == "B":
-        return complex(np.vdot(c, sk * c[fk]))
-    if tag == "C":
-        return complex(1j * np.vdot(c, c[fk]))
-    sj, fj = _slot_table(n, kind.j)
-    if tag == "AA":
-        return complex(np.vdot(c, sj * sk * c))
-    if tag == "BA":
-        return complex(1j * np.vdot(c[fj], sj * sk * c))
-    if tag == "CA":
-        return complex(np.vdot(c[fj], sk * c))
-    if tag == "AB":
-        return complex(-1j * np.vdot(c, sj * sk * c[fk]))
-    if tag == "BB":
-        return complex(np.vdot(c[fj], sj * sk * c[fk]))
-    if tag == "CB":
-        # sign exponent i_k (see module docstring)
-        return complex(-1j * np.vdot(c[fj], sk * c[fk]))
-    if tag == "AC":
-        return complex(np.vdot(c, sj * c[fk]))
-    if tag == "BC":
-        return complex(1j * np.vdot(c[fj], sj * c[fk]))
-    if tag == "CC":
-        return complex(np.vdot(c[fj], c[fk]))
-    raise AssertionError(tag)
+    sj, fj = _slot_table(n, kind.j) if kind.j is not None else (None, None)
+    right = c[fk] if flip_k else c
+    if sign_j or sign_k:
+        sign = (sj * sk if sign_k else sj) if sign_j else sk
+        right = sign * right
+    value = np.vdot(c[fj] if flip_j else c, right)
+    return complex(value if phase == 1 else phase * value)
 
 
 # the row of each op's column in a slot's triple
@@ -288,9 +288,11 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
 
     if scenario == "main":
         slots = list(params["slots"])
+        xi = list(params["xi"])
+        if len(xi) != len(slots):
+            raise ValueError(f"slots and xi must have equal length, got {len(slots)} and {len(xi)}")
         if len(set(slots)) != len(slots):
             raise ValueError(f"slots must be distinct, got {slots}")
-        xi = list(params["xi"])
         residual_vec = sum(float(x) * _slot_columns(psi, j)[0] for x, j in zip(xi, slots))
         residual = float(np.linalg.norm(residual_vec))
         scale = psi.norm() * sum(abs(float(x)) for x in xi)

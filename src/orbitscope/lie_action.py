@@ -67,14 +67,6 @@ class LocalAlgebraElement:
     def from_triples(cls, triples: Sequence[tuple]) -> "LocalAlgebraElement":
         return cls(tuple(Su2Coordinates(*trip) for trip in triples))
 
-    @classmethod
-    def single_slot(cls, n: int, k: int, t=0.0, r=0.0, s=0.0) -> "LocalAlgebraElement":
-        """X with (t, r, s) in slot k (1-based) and zero elsewhere."""
-        zero = type(t)(0)
-        coords = [Su2Coordinates(zero, zero, zero)] * n
-        coords[k - 1] = Su2Coordinates(t, r, s)
-        return cls(tuple(coords))
-
 
 def within_atol(x: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """Whether |x - b| <= atol in every entry: np.isclose's bound
@@ -126,12 +118,6 @@ class LocalUnitary:
     @classmethod
     def identity(cls, n: int) -> "LocalUnitary":
         return cls(tuple(SU2GroupElement.identity() for _ in range(n)))
-
-    @classmethod
-    def single_slot(cls, n: int, k: int, u: SU2GroupElement) -> "LocalUnitary":
-        factors = [SU2GroupElement.identity() for _ in range(n)]
-        factors[k - 1] = u
-        return cls(tuple(factors))
 
 
 def su2_exp(coords: Su2Coordinates) -> SU2GroupElement:

@@ -173,6 +173,18 @@ def su2_lift(rotation: SO3Rotation) -> SU2GroupElement:
     return SU2GroupElement(u)
 
 
+def _lift_slots(
+    psi: PureState, rotations: list[tuple[int, SO3Rotation]]
+) -> tuple[LocalUnitary, PureState]:
+    """U with each (slot, rotation) lifted to SU(2) in its slot and the
+    identity elsewhere, and U psi."""
+    factors = [SU2GroupElement.identity()] * psi.n
+    for j, rotation in rotations:
+        factors[j - 1] = su2_lift(rotation)
+    u = LocalUnitary(tuple(factors))
+    return u, apply_group(u, psi)
+
+
 def _real_triple_matrix(psi: PureState, k: int) -> np.ndarray:
     """2^{n+1} x 3 real matrix of the triple T_k's column identifications."""
     return np.column_stack([vec.view(float) for vec in triple_columns(psi, k)])
@@ -230,11 +242,7 @@ def adjust_dependency(
     if not residual <= 1e-10 * scale:
         raise HypothesisViolationError("sum xi_i phi_i does not vanish", residual)
 
-    factors = [SU2GroupElement.identity() for _ in range(psi.n)]
-    for j, direction in zip(slots, directions):
-        factors[j - 1] = su2_lift(so3_from_frame(direction))
-    u = LocalUnitary(tuple(factors))
-    psi_adj = apply_group(u, psi)
+    u, psi_adj = _lift_slots(psi, [(j, so3_from_frame(d)) for j, d in zip(slots, directions)])
 
     post = sum(
         x * on_qubit(A_MATRIX, psi_adj.amps, j) for j, x in zip(slots, xi_scaled)
@@ -278,11 +286,8 @@ def adjust_two_common(
     coords_l = (u_mat[:, 0], u_mat[:, 1])  # phi, phi' in T_l coordinates
     coords_lp = (vt[0], vt[1])  # the same vectors in T_lp coordinates
 
-    factors = [SU2GroupElement.identity() for _ in range(psi.n)]
-    factors[l - 1] = su2_lift(so3_from_frame(coords_l[0], coords_l[1]))
-    factors[lp - 1] = su2_lift(so3_from_frame(coords_lp[0], coords_lp[1]))
-    u = LocalUnitary(tuple(factors))
-    psi_adj = apply_group(u, psi)
+    rotations = [(l, so3_from_frame(*coords_l)), (lp, so3_from_frame(*coords_lp))]
+    u, psi_adj = _lift_slots(psi, rotations)
 
     a_and_c = SU2_BASIS[::2]
     diff = on_qubit(a_and_c, psi_adj.amps, l) - on_qubit(a_and_c, psi_adj.amps, lp)

@@ -88,7 +88,11 @@ def _mask_to_bits(mask: int, m: int) -> tuple[int, ...]:
 
 
 def _gf2_eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Row-reduce bitmask rows; returns (reduced pivot rows, pivot columns)."""
+    """Row-reduce bitmask rows; returns (reduced pivot rows, pivot columns).
+
+    Each pivot row is added to every other row with a bit in its column,
+    the pivot rows before it included, so the form is fully reduced.
+    """
     work = list(rows)
     pivots: list[int] = []
     reduced: list[int] = []
@@ -101,41 +105,36 @@ def _gf2_eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
         work = [r ^ prow if (r >> col) & 1 else r for r in work]
         reduced.append(prow)
         pivots.append(col)
-    # back-substitute to full reduction
-    for i in range(len(reduced) - 1, -1, -1):
-        for j in range(i):
-            if (reduced[j] >> pivots[i]) & 1:
-                reduced[j] ^= reduced[i]
     return reduced, pivots
+
+
+def _kernel_and_ones(matrix: Z2Matrix) -> tuple[list[int], Optional[int]]:
+    """A basis of ker L, one bitmask per free column, and a v with
+    L v = (1,...,1) over GF(2) or None, from one reduction of [L | 1].
+
+    The ones column, bit ncols, is reduced last: its pivot, if any, is the
+    row (0,...,0 | 1), which leaves L's reduced columns as L alone gives
+    them and makes the system inconsistent.
+    """
+    m = matrix.ncols
+    reduced, pivots = _gf2_eliminate([r | (1 << m) for r in matrix.rows], m + 1)
+    # the v on the pivot columns with L v = column c of [L | 1]; with its
+    # own bit added, that of a free column c < m is a kernel vector
+    def solve(c: int) -> int:
+        return sum(1 << pc for row, pc in zip(reduced, pivots) if (row >> c) & 1)
+
+    basis = [solve(fc) | 1 << fc for fc in range(m) if fc not in pivots]
+    return basis, None if pivots and pivots[-1] == m else solve(m)
 
 
 def gf2_kernel_basis(matrix: Z2Matrix) -> list[int]:
     """Basis of ker L over GF(2), one bitmask per free column."""
-    reduced, pivots = _gf2_eliminate(list(matrix.rows), matrix.ncols)
-    free = [c for c in range(matrix.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = 1 << fc
-        for row, pc in zip(reduced, pivots):
-            if (row >> fc) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+    return _kernel_and_ones(matrix)[0]
 
 
 def gf2_solve_ones(matrix: Z2Matrix) -> Optional[int]:
     """A v with L v = (1,...,1) over GF(2), or None if inconsistent."""
-    ncols = matrix.ncols
-    # augment with a constant column at bit ncols
-    aug = [r | (1 << ncols) for r in matrix.rows]
-    reduced, pivots = _gf2_eliminate(aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        return None  # row (0,...,0 | 1): inconsistent
-    v = 0
-    for row, pc in zip(reduced, pivots):
-        if (row >> ncols) & 1:
-            v |= 1 << pc
-    return v
+    return _kernel_and_ones(matrix)[1]
 
 
 def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
@@ -145,43 +144,27 @@ def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
     Determinism: the kernel is tried first, and among kernel basis vectors
     the lexicographically smallest bit pattern (v_1, v_2, ...) wins.
     """
-    # E = ((-1)^{L_jk}) and E^T E have the same rank over Q
-    e = 1 - 2 * np.array(matrix.bit_rows(), dtype=np.int64).reshape(-1, matrix.ncols)
-    if exact_rank_kernel(e.T @ e)[0] == matrix.ncols:
+    m = matrix.ncols
+    # E = ((-1)^{L_jk}) from the masks, as Python ints for any ncols; E and
+    # E^T E have the same rank over Q
+    bits = np.array(matrix.rows, dtype=object)[:, None] >> np.arange(m, dtype=object) & 1
+    e = 1 - 2 * bits.astype(np.int64)
+    if exact_rank_kernel(e.T @ e)[0] == m:
         raise NoWitnessError("the +-1 matrix E has trivial kernel")
-    kernel = gf2_kernel_basis(matrix)
+    kernel, ones = _kernel_and_ones(matrix)
     if kernel:
-        m = matrix.ncols
-        best = min(kernel, key=lambda v: _mask_to_bits(v, m))
-        bits = _mask_to_bits(best, m)
-        return Z2Witness(
-            kind="kernel",
-            v=bits,
-            parity_set=frozenset(j + 1 for j, b in enumerate(bits) if b),
-            parity=0,
-        )
-    v = gf2_solve_ones(matrix)
-    if v is None:
-        raise InternalContradictionError(
-            "E singular but L has trivial kernel and no ones-preimage"
-        )
-    bits = _mask_to_bits(v, matrix.ncols)
-    return Z2Witness(
-        kind="ones-preimage",
-        v=bits,
-        parity_set=frozenset(j + 1 for j, b in enumerate(bits) if b),
-        parity=1,
-    )
+        v, parity = min(kernel, key=lambda v: _mask_to_bits(v, m)), 0
+    elif ones is not None:
+        v, parity = ones, 1
+    else:
+        raise InternalContradictionError("E singular but L has trivial kernel and no ones-preimage")
+    bits = _mask_to_bits(v, m)
+    support = frozenset(j + 1 for j, b in enumerate(bits) if b)
+    return Z2Witness(("kernel", "ones-preimage")[parity], bits, support, parity)
 
 
-def zero_rows(
-    xi: Sequence, tol: float = DEFAULT_ZERO_TOL
-) -> list[tuple[int, ...]]:
-    """All sign patterns r in {0,1}^m with sum_i (-1)^{r_i} xi_i = 0.
-
-    The zero test is exact for rational xi, else |sum| <= tol * ||xi||_1.
-    Sums are built by doubling, so only the 2^m diagonal is ever held.
-    """
+def _zero_masks(xi: Sequence, tol: float) -> list[int]:
+    """The zero rows of `zero_rows` as bitmasks: bit j-1 is the sign bit r_j."""
     m = len(xi)
     if m == 0 or all(v == 0 for v in xi):
         raise ValueError("xi must be nonempty and not all zero")
@@ -201,26 +184,34 @@ def zero_rows(
     sums = np.zeros(1, dtype=values.dtype)
     for v in values:
         sums = np.concatenate([sums + v, sums - v])
-    hits = np.flatnonzero(np.abs(sums) <= bound)
-    # bit j-1 of the integer r is the sign bit r_j
-    return [_mask_to_bits(int(r), m) for r in hits]
+    return np.flatnonzero(np.abs(sums) <= bound).tolist()
+
+
+def zero_rows(xi: Sequence, tol: float = DEFAULT_ZERO_TOL) -> list[tuple[int, ...]]:
+    """All sign patterns r in {0,1}^m with sum_i (-1)^{r_i} xi_i = 0.
+
+    The zero test is exact for rational xi, else |sum| <= tol * ||xi||_1.
+    Sums are built by doubling, so only the 2^m diagonal is ever held.
+    """
+    return [_mask_to_bits(r, len(xi)) for r in _zero_masks(xi, tol)]
 
 
 def find_parity_set(xi: Sequence, tol: float = DEFAULT_ZERO_TOL) -> Z2Witness:
     """Stack the zero rows into L and extract the parity set K.
 
     Postconditions re-checked here, independently of the solver: |K| is even
-    and sum_{k in K} r_k mod 2 is the same for every zero row.
+    and sum_{k in K} r_k mod 2, L applied to the mask of K, is the same for
+    every zero row.
     """
-    rows = zero_rows(xi, tol)
-    if not rows:
+    masks = _zero_masks(xi, tol)
+    if not masks:
         raise ValueError("no zero rows: the diagonal sign matrix is invertible")
-    matrix = Z2Matrix.from_bit_rows(rows)
+    matrix = Z2Matrix(rows=tuple(masks), ncols=len(xi))
     witness = solve_sign_kernel(matrix)
     support = witness.parity_set
     if len(support) % 2 != 0:
         raise InternalContradictionError("parity set has odd size")
-    parities = {sum(r[k - 1] for k in support) % 2 for r in rows}
+    parities = set(matrix.apply(sum(1 << (k - 1) for k in support)))
     if parities != {witness.parity}:
         raise InternalContradictionError(
             f"parity not constant over zero rows: {parities}"

@@ -138,6 +138,93 @@ class TestTableAgainstDirect:
                 assert abs(ab - np.conj(ba)) <= 1e-12 * psi.norm() ** 2
 
 
+def branch_formula(psi, kind):
+    """The closed forms written as one branch per tag: an independent copy
+    of the twelve formulas that the table rows encode."""
+    c = psi.amps
+    sk, fk = inner_products._slot_table(psi.n, kind.k)
+    tag = kind.tag
+    if tag == "A":
+        return complex(1j * np.vdot(c, sk * c))
+    if tag == "B":
+        return complex(np.vdot(c, sk * c[fk]))
+    if tag == "C":
+        return complex(1j * np.vdot(c, c[fk]))
+    sj, fj = inner_products._slot_table(psi.n, kind.j)
+    if tag == "AA":
+        return complex(np.vdot(c, sj * sk * c))
+    if tag == "BA":
+        return complex(1j * np.vdot(c[fj], sj * sk * c))
+    if tag == "CA":
+        return complex(np.vdot(c[fj], sk * c))
+    if tag == "AB":
+        return complex(-1j * np.vdot(c, sj * sk * c[fk]))
+    if tag == "BB":
+        return complex(np.vdot(c[fj], sj * sk * c[fk]))
+    if tag == "CB":
+        return complex(-1j * np.vdot(c[fj], sk * c[fk]))
+    if tag == "AC":
+        return complex(np.vdot(c, sj * c[fk]))
+    if tag == "BC":
+        return complex(1j * np.vdot(c[fj], sj * c[fk]))
+    assert tag == "CC"
+    return complex(np.vdot(c[fj], c[fk]))
+
+
+def bits_of(value):
+    """The bit patterns of a complex number's two parts, so that -0.0 and
+    0.0 differ."""
+    return np.array([value]).view(np.int64).tolist()
+
+
+def signed_zero_states():
+    """States with -0.0 real or imaginary parts next to zeros and nonzeros."""
+    yield PureState(n=1, amps=np.array([complex(-0.0, 1.0), complex(0.5, -0.0)]))
+    yield PureState(n=2, amps=np.array([complex(-0.0, -0.0), complex(1.0, 0.0), complex(0.0, -0.0), complex(-0.0, -2.0)]))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 4
+        parts = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(2, 1 << n))
+        parts[0, 0] = 1.0  # not the zero vector
+        yield PureState(n=n, amps=parts[0] + 1j * parts[1])
+
+
+class TestTableAgainstBranchFormulas:
+    """The data rows evaluate to the branch formulas' values, bit for bit."""
+
+    def assert_bitwise(self, states):
+        rows = 0
+        for psi in states:
+            for kind in all_kind_instances(psi.n):
+                table = table_inner_product(psi, kind)
+                assert bits_of(table) == bits_of(branch_formula(psi, kind)), (psi.amps, kind)
+                rows += 1
+        return rows
+
+    def test_haar_states(self):
+        states = [sample_haar_state(n, 100 * n + i) for n in range(1, 7) for i in range(20)]
+        assert self.assert_bitwise(states) == 20 * sum(3 * n + 9 * n * n for n in range(1, 7))
+
+    def test_exact_families_rotated_copies_and_signed_zeros(self):
+        families = [
+            make_singlet_product(1),
+            make_singlet_product(2),
+            make_singlet_product(3),
+            make_cat(2),
+            make_cat(3),
+            make_cat(5),
+            make_basis(MultiIndex((0, 1, 0))),
+            make_basis(MultiIndex((1, 1, 0, 1))),
+            make_singlet_product_plus_zero(1),
+            make_singlet_product_plus_zero(2),
+        ]
+        rng = np.random.default_rng(3)
+        rotated = [apply_group(random_local_unitary(psi.n, rng), psi) for psi in families]
+        signed = list(signed_zero_states())
+        assert any((np.signbit(psi.amps.real) & (psi.amps.real == 0)).any() for psi in signed)
+        assert self.assert_bitwise(families + rotated + signed) > 3000
+
+
 class TestTableAgainstMatrix:
     """Re of every table row is an entry of M^T M: column 3(k-1) + (0, 1, 2)
     of M is A_k, B_k, C_k and column 3n is -i|psi>, so a pair row XY(j, k)
@@ -468,6 +555,20 @@ class TestMainScenario:
         psi = sample_haar_state(3, 1)
         with pytest.raises(ValueError, match=r"slots must be distinct, got \[1, 1\]"):
             orthogonality_report(psi, "main", slots=[1, 1], xi=[1.0, -1.0])
+        assert memo_of(psi) == {}
+
+    def test_rejects_more_slots_than_coefficients(self):
+        # zip would drop slot 3 and report K = {1, 2}
+        psi = make_singlet_product(2)
+        with pytest.raises(ValueError, match="slots and xi must have equal length, got 3 and 2"):
+            orthogonality_report(psi, "main", slots=[1, 2, 3], xi=[1.0, 1.0])
+        assert memo_of(psi) == {}
+
+    def test_rejects_fewer_slots_than_coefficients(self):
+        # the parity set would name coefficients 3 and 4, which have no slot
+        psi = make_singlet_product(2)
+        with pytest.raises(ValueError, match="slots and xi must have equal length, got 2 and 4"):
+            orthogonality_report(psi, "main", slots=[1, 2], xi=[1.0, 1.0, 1.0, 1.0])
         assert memo_of(psi) == {}
 
 

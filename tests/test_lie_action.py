@@ -84,12 +84,12 @@ class TestApplyAlgebra:
 
     def test_a_slot1_on_00(self):
         psi = make_basis(MultiIndex((0, 0)))
-        x = LocalAlgebraElement.single_slot(2, 1, t=1.0)
+        x = LocalAlgebraElement.from_triples([(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
         assert np.allclose(apply_algebra(x, psi), 1j * psi.amps)
 
     def test_b_slot1_on_0_matches_2x2_oracle(self):
         psi = make_basis(MultiIndex((0,)))
-        x = LocalAlgebraElement.single_slot(1, 1, r=1.0)
+        x = LocalAlgebraElement.from_triples([(0.0, 1.0, 0.0)])
         expected = B_MATRIX @ np.array([1, 0])  # = -|1>
         assert np.allclose(apply_algebra(x, psi), expected)
         assert np.allclose(expected, [0, -1])
@@ -97,7 +97,7 @@ class TestApplyAlgebra:
     def test_length_mismatch(self):
         psi = make_basis(MultiIndex((0, 0)))
         with pytest.raises(ValueError):
-            apply_algebra(LocalAlgebraElement.single_slot(3, 1, t=1.0), psi)
+            apply_algebra(LocalAlgebraElement.from_triples([(1.0, 0.0, 0.0)] * 3), psi)
 
     @given(real, real)
     @settings(max_examples=25)
@@ -156,12 +156,10 @@ class TestTripleColumns:
         psi = sample_haar_state(3, 9)
         for k in range(1, 4):
             vec_a, vec_b, vec_c = triple_columns(psi, k)
-            for coords, vec in [
-                (dict(t=1.0), vec_a),
-                (dict(r=1.0), vec_b),
-                (dict(s=1.0), vec_c),
-            ]:
-                x = LocalAlgebraElement.single_slot(3, k, **coords)
+            for unit, vec in zip(np.eye(3).tolist(), (vec_a, vec_b, vec_c)):
+                triples = [(0.0, 0.0, 0.0)] * 3
+                triples[k - 1] = unit
+                x = LocalAlgebraElement.from_triples(triples)
                 assert np.max(np.abs(apply_algebra(x, psi) - vec)) <= 1e-14
 
     def test_float_matches_the_orbit_matrix_bitwise(self):
@@ -313,7 +311,7 @@ class TestApplyGroup:
     def test_diagonal_phase(self):
         # exp(t A) on |00> multiplies the amplitude by e^{it}
         t = 0.37
-        u = LocalUnitary.single_slot(2, 1, su2_exp(Su2Coordinates(t, 0, 0)))
+        u = LocalUnitary((su2_exp(Su2Coordinates(t, 0, 0)), SU2GroupElement.identity()))
         psi = make_basis(MultiIndex((0, 0)))
         out = apply_group(u, psi)
         assert np.allclose(out.amps, np.exp(1j * t) * psi.amps)

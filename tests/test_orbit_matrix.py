@@ -1219,12 +1219,12 @@ class TestVerifyIsotropy:
 
     def test_a_phase_on_ket0(self):
         psi = make_basis(MultiIndex((0,)))
-        x = LocalAlgebraElement.single_slot(1, 1, t=1.0)
+        x = LocalAlgebraElement.from_triples([(1.0, 0.0, 0.0)])
         assert verify_isotropy(psi, IsotropyElement(x=x, theta=1.0))
 
     def test_b_not_isotropy_on_ket0(self):
         psi = make_basis(MultiIndex((0,)))
-        x = LocalAlgebraElement.single_slot(1, 1, r=1.0)
+        x = LocalAlgebraElement.from_triples([(0.0, 1.0, 0.0)])
         assert not verify_isotropy(psi, IsotropyElement(x=x, theta=0.0))
 
     def test_exact_singlet_diagonal(self):
@@ -1239,8 +1239,8 @@ class TestVerifyIsotropy:
     def test_exact_b_not_isotropy_on_ket0(self):
         psi = make_basis(MultiIndex((0,)))
         one, zero = Fraction(1), Fraction(0)
-        assert verify_isotropy(psi, IsotropyElement(LocalAlgebraElement.single_slot(1, 1, t=one), one))
-        x = LocalAlgebraElement.single_slot(1, 1, t=zero, r=one, s=zero)
+        assert verify_isotropy(psi, IsotropyElement(LocalAlgebraElement.from_triples([(one, zero, zero)]), one))
+        x = LocalAlgebraElement.from_triples([(zero, one, zero)])
         assert not verify_isotropy(psi, IsotropyElement(x=x, theta=zero))
 
     def test_exact_matrix_action_matches_float(self):

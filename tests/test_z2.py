@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitscope.cli import engineered_sign_instance
+from orbitscope.orbit_matrix import exact_rank_kernel
 from orbitscope.z2 import (
     CapacityError,
     InternalContradictionError,
@@ -158,6 +161,109 @@ class TestSolveSignKernel:
     def test_witness_kind_validation(self):
         with pytest.raises(ValueError):
             Z2Witness(kind="other", v=(1,), parity_set=frozenset({1}), parity=0)
+
+
+def two_elimination_witness(matrix):
+    """The sign lemma solved with two GF(2) eliminations, one of L for the
+    kernel and one of [L | 1] for the ones-preimage only when the kernel is
+    trivial, each with an explicit back-substitution pass: an independent
+    copy of the solver, returning (witness, kernel basis, ones-preimage)."""
+
+    def eliminate(rows, ncols):
+        work, pivots, reduced = list(rows), [], []
+        for col in range(ncols):
+            pivot = next((i for i, r in enumerate(work) if (r >> col) & 1), None)
+            if pivot is None:
+                continue
+            prow = work.pop(pivot)
+            reduced = [r ^ prow if (r >> col) & 1 else r for r in reduced]
+            work = [r ^ prow if (r >> col) & 1 else r for r in work]
+            reduced.append(prow)
+            pivots.append(col)
+        for i in range(len(reduced) - 1, -1, -1):
+            for j in range(i):
+                if (reduced[j] >> pivots[i]) & 1:
+                    reduced[j] ^= reduced[i]
+        return reduced, pivots
+
+    m = matrix.ncols
+    reduced, pivots = eliminate(matrix.rows, m)
+    kernel = []
+    for fc in range(m):
+        if fc not in pivots:
+            v = 1 << fc
+            for row, pc in zip(reduced, pivots):
+                if (row >> fc) & 1:
+                    v |= 1 << pc
+            kernel.append(v)
+    reduced, pivots = eliminate([r | (1 << m) for r in matrix.rows], m + 1)
+    ones = None
+    if not (pivots and pivots[-1] == m):
+        ones = 0
+        for row, pc in zip(reduced, pivots):
+            if (row >> m) & 1:
+                ones |= 1 << pc
+
+    def bits(v):
+        return tuple((v >> j) & 1 for j in range(m))
+
+    e = 1 - 2 * np.array(matrix.bit_rows(), dtype=np.int64).reshape(-1, m)
+    if exact_rank_kernel(e.T @ e)[0] == m:
+        witness = NoWitnessError("the +-1 matrix E has trivial kernel")
+    elif kernel:
+        v = bits(min(kernel, key=bits))
+        witness = Z2Witness("kernel", v, frozenset(j + 1 for j, b in enumerate(v) if b), 0)
+    elif ones is not None:
+        v = bits(ones)
+        witness = Z2Witness("ones-preimage", v, frozenset(j + 1 for j, b in enumerate(v) if b), 1)
+    else:
+        witness = InternalContradictionError("E singular but L has trivial kernel and no ones-preimage")
+    return witness, kernel, ones
+
+
+def witness_or_refusal(matrix):
+    try:
+        return solve_sign_kernel(matrix)
+    except (NoWitnessError, InternalContradictionError) as exc:
+        return exc
+
+
+def same_outcome(got, expected):
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return type(got) is Z2Witness and got == expected
+
+
+class TestAgainstTwoEliminations:
+    """One reduction of [L | 1] gives what two eliminations give, exactly."""
+
+    def test_every_small_matrix(self):
+        count = 0
+        kinds = set()
+        for ncols in range(1, 4):
+            for nrows in range(5):
+                for rows in itertools.product(range(1 << ncols), repeat=nrows):
+                    matrix = Z2Matrix(rows=rows, ncols=ncols)
+                    witness, kernel, ones = two_elimination_witness(matrix)
+                    assert gf2_kernel_basis(matrix) == kernel, matrix
+                    assert gf2_solve_ones(matrix) == ones, matrix
+                    got = witness_or_refusal(matrix)
+                    assert same_outcome(got, witness), (matrix, got, witness)
+                    kinds.add(type(got).__name__ if isinstance(got, Exception) else got.kind)
+                    count += 1
+        assert count == 5053
+        assert kinds == {"kernel", "ones-preimage", "NoWitnessError"}
+
+    def test_engineered_instances(self):
+        rng = np.random.default_rng(2026)
+        kinds = set()
+        for _ in range(500):
+            xi = engineered_sign_instance(rng, int(rng.integers(2, 9)))
+            witness, _, _ = two_elimination_witness(Z2Matrix.from_bit_rows(zero_rows(xi)))
+            got = find_parity_set(xi)
+            assert got == witness, xi
+            kinds.add(got.kind)
+        assert kinds == {"kernel", "ones-preimage"}
 
 
 class TestZeroRows:
