@@ -23,6 +23,7 @@ import numpy as np
 from . import z2
 from .inner_products import (
     ALL_KINDS,
+    SIGN_CACHE_BYTES_PER_AMP,
     SINGLE_KINDS,
     InnerProductKind,
     direct_inner_product,
@@ -61,9 +62,10 @@ STATE_BYTES_PER_AMP = 80
 # tracemalloc peak: 2.1 (Haar, n = 16), 2.6 (exact, n = 16), 6.2 (exact with
 # a Python-int Gram sum, n = 11).
 BLOCK_BUFFERS = 8
-# Bytes per amplitude and qubit of the table oracle's memo, which holds the
-# three complex columns of every slot of a state (`_slot_columns`).
-MEMO_BYTES_PER_AMP_QUBIT = 48
+# Bytes per amplitude and qubit of the table's memos on a state: the three
+# complex columns of every slot (`_slot_columns`, 48) and its flipped
+# amplitudes (`_flipped`, 16).
+MEMO_BYTES_PER_AMP_QUBIT = 64
 
 
 class UsageError(ValueError):
@@ -276,18 +278,22 @@ def _verify_theorem(n_max: int):
 def _verify_table1(n_max: int):
     """Closed forms against direct column inner products on random states."""
     for n in range(1, n_max + 1):
+        # the rows and their labels depend on n alone: built once for the 50 states
+        kinds = [
+            InnerProductKind(tag=tag, k=k, j=j)
+            for tag in ALL_KINDS
+            for k in range(1, n + 1)
+            for j in ([None] if tag in SINGLE_KINDS else range(1, n + 1))
+        ]
+        rows = [(kind, table_kind_as_labels(kind)) for kind in kinds]
         worst = 0.0
         for sample in range(50):
             psi = sample_haar_state(n, seed=7000 + 100 * n + sample)
             scale = psi.norm() ** 2
-            for tag in ALL_KINDS:
-                for k in range(1, n + 1):
-                    j_range = [None] if tag in SINGLE_KINDS else range(1, n + 1)
-                    for j in j_range:
-                        kind = InnerProductKind(tag=tag, k=k, j=j)
-                        expected = direct_inner_product(psi, *table_kind_as_labels(kind))
-                        got = table_inner_product(psi, kind)
-                        worst = max(worst, abs(got - expected) / scale)
+            for kind, labels in rows:
+                expected = direct_inner_product(psi, *labels)
+                got = table_inner_product(psi, kind)
+                worst = max(worst, abs(got - expected) / scale)
         yield f"table-vs-direct n={n}, 50 states, worst rel err {worst:.2e}", worst <= 1e-12
 
 
@@ -345,9 +351,10 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     # theorem, table1 and triples build states of every size up to --n-max
-    # (none below 1); table1's oracle also memoises each state's columns
+    # (none below 1); table1 also memoises each state's columns and flipped
+    # amplitudes, and keeps sign tables of its sizes
     if args.suite in ("theorem", "table1", "triples") and args.n_max > 0:
-        memo = MEMO_BYTES_PER_AMP_QUBIT * args.n_max if args.suite == "table1" else 0
+        memo = MEMO_BYTES_PER_AMP_QUBIT * args.n_max + SIGN_CACHE_BYTES_PER_AMP if args.suite == "table1" else 0
         check_capacity(args.n_max, STATE_BYTES_PER_AMP + memo)
     checks, failures = 0, []
     for name, ok in _SUITES[args.suite](args.n_max):

@@ -62,6 +62,7 @@ def _slot_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Both arrays are read-only and depend on (n, k) alone, never on a state.
     One entry holds 9 * 2^n bytes, so the 32 entries kept hold at most
     288 * 2^n bytes for the largest n in use: 18 KB at n = 6, 295 KB at n = 10.
+    The CLI's capacity rule does not count them.
     """
     idx = np.arange(1 << n)
     signs = (1 - 2 * ((idx >> (n - k)) & 1)).astype(np.int8)
@@ -69,6 +70,63 @@ def _slot_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     signs.setflags(write=False)
     flip.setflags(write=False)
     return signs, flip
+
+
+# Entries kept by the two sign caches below.  Each entry is a complex
+# +-1 table of 16 * 2^n bytes, so together they hold at most
+# SIGN_CACHE_BYTES_PER_AMP * 2^n bytes for the largest n in use, which the
+# CLI's capacity rule counts for `verify --suite table1`.
+SIGN_CACHE_ENTRIES = 32
+PAIR_SIGN_CACHE_ENTRIES = 64
+SIGN_CACHE_BYTES_PER_AMP = 16 * (SIGN_CACHE_ENTRIES + PAIR_SIGN_CACHE_ENTRIES)
+
+
+@lru_cache(maxsize=SIGN_CACHE_ENTRIES)
+def _signs(n: int, k: int) -> np.ndarray:
+    """(-1)^{i_k} as a read-only complex +-1 table: `_slot_table`'s int8
+    signs cast as numpy casts them before it multiplies them into complex
+    amplitudes, so a product with this table is bitwise the product with
+    the int8 signs.  It depends on (n, k) alone; the 32 entries kept hold at
+    most 512 * 2^n bytes for the largest n in use: 32 KB at n = 6."""
+    signs = _slot_table(n, k)[0].astype(complex)
+    signs.setflags(write=False)
+    return signs
+
+
+@lru_cache(maxsize=PAIR_SIGN_CACHE_ENTRIES)
+def _pair_signs(n: int, j: int, k: int) -> np.ndarray:
+    """(-1)^{i_j} * (-1)^{i_k} for j <= k, the int8 product of `_slot_table`'s
+    signs cast to a read-only complex +-1 table, as `_signs` casts one
+    slot's.  The n(n + 1)/2 pairs of every n <= 10 fit the 64 entries kept,
+    which hold at most 1024 * 2^n bytes for the largest n in use: 64 KB at
+    n = 6, 256 KB at n = 8."""
+    signs = (_slot_table(n, j)[0] * _slot_table(n, k)[0]).astype(complex)
+    signs.setflags(write=False)
+    return signs
+
+
+# The memos below are dicts kept in a PureState's own __dict__, as
+# `functools.cached_property` keeps a value on a frozen dataclass: each is
+# freed with its state, never shared between states, and not a field, so
+# `==`, `repr` and `dataclasses.fields` do not see it.  These are their keys:
+# the table's flipped amplitudes, the oracle's triples, and the rows of
+# those triples by label, as views made once.
+_FLIPS = "_table_flips"
+_MEMO = "_oracle_columns"
+_ROWS = "_oracle_rows"
+
+
+def _flipped(psi: PureState, k: int) -> np.ndarray:
+    """c_{I_k}: the amplitudes read through slot k's flip I -> I_k, kept
+    read-only in the state's memo.  A state holds at most n of them,
+    16n * 2^n bytes."""
+    memo = psi.__dict__.get(_FLIPS)
+    flipped = memo.get(k) if memo else None
+    if flipped is None:
+        flipped = psi.amps[_slot_table(psi.n, k)[1]]
+        flipped.setflags(write=False)
+        psi.__dict__.setdefault(_FLIPS, {})[k] = flipped
+    return flipped
 
 
 # One row per closed form: (phase, carries (-1)^{i_j}, carries (-1)^{i_k},
@@ -98,50 +156,46 @@ def table_inner_product(psi: PureState, kind: InnerProductKind) -> complex:
     The sums keep the paper's bit formulas, in (-1)^{i_k} and c_{I_k}, on
     purpose: the direct side (`direct_inner_product`) applies the basis
     matrices instead, so the two sides share no derivation.  Each form is
-    one `np.vdot` of its `_FORMS` row, with the signs s_j = (-1)^{i_j},
-    s_k = (-1)^{i_k} and the flips from `_slot_table`; s_j * s_k is formed
-    first, and a phase of 1 is not multiplied in, so signed zeros stay.
+    one complex multiply and one `np.vdot` of its `_FORMS` row: the sign
+    s_j = (-1)^{i_j}, s_k = (-1)^{i_k} or s_j * s_k comes whole from a
+    complex table (`_signs`, `_pair_signs`), the flipped amplitudes from the
+    state's memo (`_flipped`), and a phase of 1 is not multiplied in, so
+    signed zeros stay.  The values are bitwise those of the int8 signs
+    multiplied into freshly gathered amplitudes.
     """
-    n = psi.n
-    if not 1 <= kind.k <= n or (kind.j is not None and not 1 <= kind.j <= n):
+    n, j, k = psi.n, kind.j, kind.k
+    if not 1 <= k <= n or (j is not None and not 1 <= j <= n):
         raise ValueError(f"slots out of range 1..{n}: {kind}")
     phase, sign_j, sign_k, flip_j, flip_k = _FORMS[kind.tag]
     c = psi.amps
-    sk, fk = _slot_table(n, kind.k)
-    sj, fj = _slot_table(n, kind.j) if kind.j is not None else (None, None)
-    right = c[fk] if flip_k else c
-    if sign_j or sign_k:
-        sign = (sj * sk if sign_k else sj) if sign_j else sk
-        right = sign * right
-    value = np.vdot(c[fj] if flip_j else c, right)
+    right = _flipped(psi, k) if flip_k else c
+    if sign_j and sign_k:
+        right = _pair_signs(n, min(j, k), max(j, k)) * right
+    elif sign_j or sign_k:
+        right = _signs(n, j if sign_j else k) * right
+    value = np.vdot(_flipped(psi, j) if flip_j else c, right)
     return complex(value if phase == 1 else phase * value)
 
 
 # the row of each op's column in a slot's triple
 _ROW = {"A": 0, "B": 1, "C": 2}
-# the key of the oracle's memo in a PureState's own __dict__
-_MEMO = "_oracle_columns"
 
 
 def _slot_columns(psi: PureState, k: int) -> np.ndarray:
     """A_k|psi>, B_k|psi>, C_k|psi> as the rows of one read-only 3 x 2^n
     array, from one `on_qubit` of the basis stack.
 
-    The triple is memoised in the state's own __dict__, as
-    `functools.cached_property` does on a frozen dataclass: it is freed with
-    the state, never shared between states, and not a field, so `==`,
-    `repr` and `dataclasses.fields` do not see it.  A state holds at most n
-    triples, 3n * 2^n complex numbers: the size of M.  Each row is bitwise
-    the single-matrix `on_qubit` of its basis matrix.
+    The triple is memoised in the state's own __dict__.  A state holds at
+    most n triples, 3n * 2^n complex numbers: the size of M.  Each row is
+    bitwise the single-matrix `on_qubit` of its basis matrix, and the whole
+    triple bitwise `lie_action.triple_columns`.
     """
     memo = psi.__dict__.get(_MEMO)
-    if memo is None:
-        memo = psi.__dict__[_MEMO] = {}
-    cols = memo.get(k)
+    cols = memo.get(k) if memo else None
     if cols is None:
         cols = on_qubit(SU2_BASIS, psi.amps, k)
         cols.setflags(write=False)
-        memo[k] = cols
+        psi.__dict__.setdefault(_MEMO, {})[k] = cols
     return cols
 
 
@@ -150,14 +204,21 @@ def _column_vector(psi: PureState, label) -> np.ndarray:
 
     Labels: "identity", "minus_i_psi", or ("A"|"B"|"C", slot) with an
     integer slot in 1..n; anything else is a ValueError naming the label,
-    raised before a column is computed or memoised.
+    raised before a column is computed or memoised.  A valid slot label
+    reads its row of the slot's triple from the state's memo, a view made
+    on the label's first use.
     """
     if type(label) is tuple and len(label) == 2:
         op, slot = label
         row = _ROW.get(op) if type(op) is str else None
-        integer = isinstance(slot, (int, np.integer)) and type(slot) is not bool
+        integer = type(slot) is int or (isinstance(slot, (int, np.integer)) and type(slot) is not bool)
         if row is not None and integer and 1 <= slot <= psi.n:
-            return _slot_columns(psi, slot)[row]
+            memo = psi.__dict__.get(_ROWS)
+            column = memo.get(label) if memo else None
+            if column is None:
+                column = _slot_columns(psi, slot)[row]
+                psi.__dict__.setdefault(_ROWS, {})[label] = column
+            return column
     elif label == "identity":
         return psi.amps
     elif label == "minus_i_psi":
@@ -237,14 +298,23 @@ def _label_name(label) -> str:
 
 def _run_checks(psi, pairs, tol_abs) -> tuple[OrthogonalityCheck, ...]:
     """One check per (left, right) label pair, read off one complex Gram
-    matrix of the columns: the triple of every slot the pairs name, then
-    -i|psi>.  Its real part is the real dot product of the columns."""
+    block: the rows of the left labels against every column, the triple of
+    each slot the pairs name, then -i|psi>.  Its real part is the real dot
+    product of the columns.
+
+    The block's entries are the whole Gram matrix's, bit for bit: both are
+    matrix products, and BLAS sums each entry in the same order whatever
+    the row count (a test holds the reports to the whole matrix).  A single
+    left row would take numpy's vector product, which sums in another
+    order, but every scenario names at least two left labels."""
     slots = sorted({label[1] for pair in pairs for label in pair if label != "minus_i_psi"})
     index = {(op, k): 3 * i + j for i, k in enumerate(slots) for j, op in enumerate("ABC")}
     index["minus_i_psi"] = 3 * len(slots)
     cols = np.concatenate([_slot_columns(psi, k) for k in slots] + [-1j * psi.amps[None]])
-    gram = cols.conj() @ cols.T
-    values = gram[[index[left] for left, _ in pairs], [index[right] for _, right in pairs]]
+    lefts = sorted({index[left] for left, _ in pairs})
+    block = cols[lefts].conj() @ cols.T
+    row = {col: i for i, col in enumerate(lefts)}
+    values = block[[row[index[left]] for left, _ in pairs], [index[right] for _, right in pairs]]
     passed = (np.abs(values.real) <= tol_abs).tolist()
     names = {label: _label_name(label) for label in index}
     return tuple(

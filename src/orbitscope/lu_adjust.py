@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner_products import HypothesisViolationError
+from .inner_products import HypothesisViolationError, _slot_columns
 from .lie_action import (
     A_MATRIX,
     SU2_BASIS,
@@ -29,10 +29,9 @@ from .lie_action import (
     SU2GroupElement,
     apply_group,
     on_qubit,
-    triple_columns,
     within_atol,
 )
-from .orbit_matrix import numerical_rank, DEFAULT_TOL
+from .orbit_matrix import DEFAULT_TOL, _sigma_rank, numerical_rank
 from .states import PureState
 
 INTERSECTION_TOL = 1e-8
@@ -81,10 +80,10 @@ def so3_from_frame(first, second=None) -> SO3Rotation:
     """Rotation sending e_A to `first` and, when given, e_C to `second`.
 
     The remaining column(s) are completed by cross products with the sign
-    fixed so det = +1.  The frame is held to the bound `SO3Rotation` puts on
-    R^T R, computed from the same R, so a frame it would refuse is refused
-    here, in the frame's terms: a squared length or a dot product off by
-    more than ORTHONORMAL_ATOL.
+    fixed so det = +1.  R is checked once, by `SO3Rotation`.  Only a refused
+    R has its Gram matrix R^T R read again, to name the frame term off by
+    more than ORTHONORMAL_ATOL: the first squared length, the second, then
+    any entry, which is the bound the rotation applied.
     """
     first = np.asarray(first, dtype=float).tolist()
     f0, f1, f2 = first
@@ -110,20 +109,25 @@ def so3_from_frame(first, second=None) -> SO3Rotation:
             [f1, s2 * f0 - s0 * f2, s1],
             [f2, s0 * f1 - s1 * f0, s2],
         ])
-    g = (r.T @ r).tolist()
-    # `not <=` so that a NaN fails too
-    if not abs(g[0][0] - 1) <= ORTHONORMAL_ATOL:
-        raise ValueError("first image vector must be unit length")
-    if second is not None and not abs(g[2][2] - 1) <= ORTHONORMAL_ATOL:
-        raise ValueError("second image vector must be unit length")
-    # within_atol(gram, I, ORTHONORMAL_ATOL), entry by entry
-    if not all(
-        abs(v - (a == b)) <= ORTHONORMAL_ATOL
-        for a, row in enumerate(g)
-        for b, v in enumerate(row)
-    ):
-        raise ValueError("image vectors must be orthogonal")
-    return SO3Rotation(r)
+    try:
+        return SO3Rotation(r)
+    except ValueError:
+        # the rotation's R^T R check failed, or its determinant one: say
+        # which frame term is off, else give the rotation's own refusal
+        g = (r.T @ r).tolist()
+        # `not <=` so that a NaN fails too
+        if not abs(g[0][0] - 1) <= ORTHONORMAL_ATOL:
+            raise ValueError("first image vector must be unit length") from None
+        if second is not None and not abs(g[2][2] - 1) <= ORTHONORMAL_ATOL:
+            raise ValueError("second image vector must be unit length") from None
+        # within_atol(gram, I, ORTHONORMAL_ATOL), entry by entry
+        if not all(
+            abs(v - (a == b)) <= ORTHONORMAL_ATOL
+            for a, row in enumerate(g)
+            for b, v in enumerate(row)
+        ):
+            raise ValueError("image vectors must be orthogonal") from None
+        raise
 
 
 def _quaternion_from_rotation(r: np.ndarray) -> list[float]:
@@ -186,19 +190,25 @@ def _lift_slots(
 
 
 def _real_triple_matrix(psi: PureState, k: int) -> np.ndarray:
-    """2^{n+1} x 3 real matrix of the triple T_k's column identifications."""
-    return np.column_stack([vec.view(float) for vec in triple_columns(psi, k)])
+    """2^{n+1} x 3 real matrix of the triple T_k's column identifications,
+    from the state's memoised triple (`inner_products._slot_columns`)."""
+    return np.column_stack([vec.view(float) for vec in _slot_columns(psi, k)])
+
+
+def _stacked_triples(psi: PureState, slots) -> np.ndarray:
+    """The triples T_k, k in slots, as one row per column identification:
+    the transpose of the parts' column-stacked matrix, with the same
+    singular values.  The triples are the state's memoised ones, so a
+    report or an adjustment on the same state computes each of them once."""
+    slots = sorted(set(slots))
+    if not slots:
+        raise ValueError("slot subset must be nonempty")
+    return np.concatenate([_slot_columns(psi, k) for k in slots]).view(float)
 
 
 def triple_span_dim(psi: PureState, slots, tol: float = DEFAULT_TOL) -> int:
     """Real dimension of the span of the triples T_k for k in slots."""
-    slots = sorted(set(slots))
-    if not slots:
-        raise ValueError("slot subset must be nonempty")
-    # one row per column identification: the transpose of the parts'
-    # column-stacked matrix, with the same singular values
-    rows = np.concatenate([triple_columns(psi, k) for k in slots]).view(float)
-    return numerical_rank(rows, tol)
+    return numerical_rank(_stacked_triples(psi, slots), tol)
 
 
 def adjust_dependency(
@@ -267,8 +277,12 @@ def adjust_two_common(
     if l == lp:
         raise ValueError(f"slots l and lp must differ, got {l} twice")
     if triple_span_dim(psi, [l, lp]) > 4:
+        # the dimension, by numerical_rank's rule, and sigma_5 / sigma_1 from
+        # one set of singular values
+        svals = np.linalg.svd(_stacked_triples(psi, [l, lp]), compute_uv=False)
         raise HypothesisViolationError(
-            "triples span more than four dimensions", float("nan")
+            f"triples span {_sigma_rank(svals, DEFAULT_TOL)} dimensions, more than four",
+            float(svals[4] / svals[0]),
         )
     norm = psi.norm()
     # the operands stay 2^{n+1} x 3 and C-ordered: in another layout BLAS

@@ -145,12 +145,13 @@ def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
     the lexicographically smallest bit pattern (v_1, v_2, ...) wins.
     """
     m = matrix.ncols
-    # E = ((-1)^{L_jk}) from the masks, as Python ints for any ncols; E and
-    # E^T E have the same rank over Q
-    bits = np.array(matrix.rows, dtype=object)[:, None] >> np.arange(m, dtype=object) & 1
-    e = 1 - 2 * bits.astype(np.int64)
-    if exact_rank_kernel(e.T @ e)[0] == m:
-        raise NoWitnessError("the +-1 matrix E has trivial kernel")
+    # rank E <= its row count, so E with fewer rows than columns is singular
+    # without an elimination; else E = ((-1)^{L_jk}) from the masks, as
+    # Python ints for any ncols, and E^T E has E's rank over Q
+    if len(matrix.rows) >= m:
+        e = np.array([[1 - 2 * (r >> j & 1) for j in range(m)] for r in matrix.rows], dtype=np.int64)
+        if exact_rank_kernel(e.T @ e)[0] == m:
+            raise NoWitnessError("the +-1 matrix E has trivial kernel")
     kernel, ones = _kernel_and_ones(matrix)
     if kernel:
         v, parity = min(kernel, key=lambda v: _mask_to_bits(v, m)), 0

@@ -137,6 +137,22 @@ class TestCapacity:
         err = usage_error(capsys, "verify", "--suite", "table1", "--n-max", "12")
         assert err.startswith("error: n=12 exceeds capacity")
 
+    def test_table1_counts_the_flips_memo_and_the_sign_caches(self, capsys, monkeypatch, no_state_builders):
+        # per amplitude: the state's 80 bytes, 64 n of memo (48 n triples and
+        # 16 n flipped amplitudes) and 16 (32 + 64) of sign tables; on 8 GiB
+        # (80 + 64 * 21 + 1536) 2^21 fits and (80 + 64 * 22 + 1536) 2^22 does
+        # not, where the triples alone, (80 + 48 * 22) 2^22, would
+        assert cli.MEMO_BYTES_PER_AMP_QUBIT == 48 + 16
+        assert cli.SIGN_CACHE_BYTES_PER_AMP == 16 * (32 + 64)
+        monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)
+        cli.check_capacity(22, cli.STATE_BYTES_PER_AMP + 48 * 22)
+        ran = []
+        monkeypatch.setitem(cli._SUITES, "table1", lambda n_max: ran.append(n_max) or [("stub", True)])
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--n-max", "21")
+        assert code == EXIT_OK and out == "pass  stub\n" and ran == [21]
+        err = usage_error(capsys, "verify", "--suite", "table1", "--n-max", "22")
+        assert err.startswith("error: n=22 exceeds capacity") and ran == [21]
+
     def test_table1_n_max_40_refused_before_allocation(self, capsys, monkeypatch, no_state_builders):
         # table1 runs to --n-max, so a size past memory is refused up front
         monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)

@@ -225,6 +225,107 @@ class TestTableAgainstBranchFormulas:
         assert self.assert_bitwise(families + rotated + signed) > 3000
 
 
+def branch_formula_state_sets():
+    """The two state sets of TestTableAgainstBranchFormulas: Haar states,
+    and the exact families with rotated copies and signed zeros."""
+    haar = [sample_haar_state(n, 100 * n + i) for n in range(1, 7) for i in range(20)]
+    families = [
+        make_singlet_product(1),
+        make_singlet_product(2),
+        make_singlet_product(3),
+        make_cat(2),
+        make_cat(3),
+        make_cat(5),
+        make_basis(MultiIndex((0, 1, 0))),
+        make_basis(MultiIndex((1, 1, 0, 1))),
+        make_singlet_product_plus_zero(1),
+        make_singlet_product_plus_zero(2),
+    ]
+    rng = np.random.default_rng(3)
+    rotated = [apply_group(random_local_unitary(psi.n, rng), psi) for psi in families]
+    return haar, families + rotated + list(signed_zero_states())
+
+
+def kinds_in_order(n, order):
+    """Every table row of an n-qubit state, tags outermost ("tag-major") or
+    slots outermost ("slot-major")."""
+    kinds = list(all_kind_instances(n))
+    if order == "slot-major":
+        kinds.sort(key=lambda kind: (kind.k, kind.j or 0))  # stable: tags stay in order
+    return kinds
+
+
+class TestTableMemo:
+    """The flips memo on each state and the complex sign caches by size give
+    the branch formulas' bits on a cold memo, on a warm one, and right after
+    the rows of another state of the same n."""
+
+    @pytest.mark.parametrize("order", ["tag-major", "slot-major"])
+    def test_cold_warm_and_interleaved_rows_bitwise(self, order):
+        for states in branch_formula_state_sets():
+            inner_products._signs.cache_clear()
+            inner_products._pair_signs.cache_clear()
+            for n in sorted({psi.n for psi in states}):
+                group = [psi for psi in states if psi.n == n]
+                kinds = kinds_in_order(n, order)
+                expected = [[bits_of(branch_formula(psi, kind)) for kind in kinds] for psi in group]
+                # fresh objects over the same amplitudes: no memo yet
+                fresh = [PureState(n=n, amps=psi.amps) for psi in group]
+                assert not any(inner_products._FLIPS in vars(psi) for psi in fresh)
+                for want, psi in zip(expected, fresh):  # cold, then after the previous state
+                    assert [bits_of(table_inner_product(psi, kind)) for kind in kinds] == want
+                for want, psi in zip(expected, fresh):  # warm
+                    assert [bits_of(table_inner_product(psi, kind)) for kind in kinds] == want
+                for i, kind in enumerate(kinds):  # row by row across the states
+                    assert [bits_of(table_inner_product(psi, kind)) for psi in fresh] == [w[i] for w in expected]
+
+    def test_a_flips_memo_for_the_wrong_slot_is_seen(self):
+        # slot 1's memo filled with slot 2's flips: rows that read c_{I_1},
+        # and only those, lose the branch formulas' bits
+        psi = sample_haar_state(3, 21)
+        wrong = psi.amps[inner_products._slot_table(3, 2)[1]]
+        vars(psi)[inner_products._FLIPS] = {1: wrong}
+        differ = [kind for kind in all_kind_instances(3)
+                  if bits_of(table_inner_product(psi, kind)) != bits_of(branch_formula(psi, kind))]
+        flips_1 = [kind for kind in all_kind_instances(3)
+                   if (inner_products._FORMS[kind.tag][4] and kind.k == 1)
+                   or (inner_products._FORMS[kind.tag][3] and kind.j == 1)]
+        assert differ and set(differ) <= set(flips_1)
+
+    def test_flips_are_read_only_private_and_freed(self):
+        psi = sample_haar_state(3, 22)
+        twin = PureState(n=3, amps=psi.amps)
+        before = (repr(psi), dataclasses.fields(psi), psi == twin)
+        table_inner_product(psi, InnerProductKind("BB", 3, 1))
+        flips = vars(psi)[inner_products._FLIPS]
+        assert sorted(flips) == [1, 3] and inner_products._FLIPS not in vars(twin)
+        for k, flipped in flips.items():
+            assert np.array_equal(flipped, psi.amps[inner_products._slot_table(3, k)[1]])
+            with pytest.raises(ValueError, match="read-only"):
+                flipped[0] = 1
+        assert (repr(psi), dataclasses.fields(psi), psi == twin) == before
+        state, flipped = weakref.ref(psi), weakref.ref(flips[3])
+        del psi, flips
+        gc.collect()
+        assert state() is None and flipped() is None
+
+    def test_sign_tables_are_read_only_and_bounded(self):
+        for n, k in ((1, 1), (4, 2), (6, 6)):
+            signs = inner_products._signs(n, k)
+            assert signs.dtype == complex and not signs.flags.writeable
+            assert bits_of_array(signs) == bits_of_array(inner_products._slot_table(n, k)[0].astype(complex))
+        pair = inner_products._pair_signs(5, 2, 4)
+        int8 = inner_products._slot_table(5, 2)[0] * inner_products._slot_table(5, 4)[0]
+        assert not pair.flags.writeable and bits_of_array(pair) == bits_of_array(int8.astype(complex))
+        assert inner_products._signs.cache_parameters()["maxsize"] == inner_products.SIGN_CACHE_ENTRIES
+        assert inner_products._pair_signs.cache_parameters()["maxsize"] == inner_products.PAIR_SIGN_CACHE_ENTRIES
+        assert inner_products.SIGN_CACHE_BYTES_PER_AMP == 16 * (32 + 64)
+
+
+def bits_of_array(values):
+    return np.asarray(values).view(np.int64).tolist()
+
+
 class TestTableAgainstMatrix:
     """Re of every table row is an entry of M^T M: column 3(k-1) + (0, 1, 2)
     of M is A_k, B_k, C_k and column 3n is -i|psi>, so a pair row XY(j, k)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitscope import lu_adjust
+from orbitscope import inner_products, lu_adjust
 from orbitscope.inner_products import HypothesisViolationError, orthogonality_report
 from orbitscope.lie_action import (
     A_MATRIX,
     B_MATRIX,
     C_MATRIX,
     SU2_BASIS as SU2_STACK,
+    LocalUnitary,
     SU2GroupElement,
     Su2Coordinates,
+    apply_group,
     random_su2,
     su2_exp,
     triple_columns,
@@ -33,6 +35,7 @@ from orbitscope.lu_adjust import (
 from orbitscope.orbit_matrix import DEFAULT_TOL, numerical_rank, orbit_dimension
 from orbitscope.states import (
     MultiIndex,
+    PureState,
     make_basis,
     make_cat,
     make_singlet_product,
@@ -389,6 +392,53 @@ class TestFrameBoundary:
         assert 0 < refused < 800
 
 
+class TestFrameRefusals:
+    """so3_from_frame builds its rotation first; a refused one is explained
+    by the frame terms in their old order, each refusal a plain ValueError
+    with its old message."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (([1 + 5e-11, 0.0, 0.0],), "first image vector must be unit length"),
+            (([1 + 5e-11, 0.0, 0.0], [0.0, 1.0, 0.0]), "first image vector must be unit length"),
+            (([1.0, 0.0, 0.0], [0.0, 1 + 5e-11, 0.0]), "second image vector must be unit length"),
+            (([1.0, 0.0, 0.0], [5e-11 / math.hypot(5e-11, 1.0), 1 / math.hypot(5e-11, 1.0), 0.0]),
+             "image vectors must be orthogonal"),
+            (([np.nan, 0.0, 0.0],), "first image vector must be unit length"),
+            (([1.0, 0.0, 0.0], [0.0, np.nan, 1.0]), "second image vector must be unit length"),
+        ],
+        ids=["non-unit first", "non-unit first of a pair", "non-unit second", "non-orthogonal", "nan first", "nan second"],
+    )
+    def test_type_and_message(self, args, message):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                so3_from_frame(*args)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_each_frame_is_checked_once_and_the_rotation_refusal_kept(self, monkeypatch):
+        built = []
+
+        class Counting(SO3Rotation):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(lu_adjust, "SO3Rotation", Counting)
+        so3_from_frame([0.0, 0.6, 0.8])
+        so3_from_frame([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        assert len(built) == 2
+
+        # a frame whose terms all pass gets the rotation's own refusal
+        class Refusing(SO3Rotation):
+            def __post_init__(self):
+                raise ValueError("matrix must have determinant +1")
+
+        monkeypatch.setattr(lu_adjust, "SO3Rotation", Refusing)
+        with pytest.raises(ValueError, match=r"^matrix must have determinant \+1$"):
+            so3_from_frame([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+
 class TestTripleSpanDim:
     def test_single_triple(self):
         assert triple_span_dim(make_singlet_product(1), [1]) == 3
@@ -499,9 +549,41 @@ class TestAdjustTwoCommon:
 
     def test_cat3_rejected(self):
         # all cat:3 triple pairs span five dimensions, violating the
-        # four-dimension ceiling the construction needs
-        with pytest.raises(HypothesisViolationError):
-            adjust_two_common(make_cat(3), 1, 3)
+        # four-dimension ceiling the construction needs; the refusal names
+        # the dimension, with sigma_5 / sigma_1 of the stacked triples as
+        # its finite residual
+        psi = make_cat(3)
+        with pytest.raises(HypothesisViolationError) as info:
+            adjust_two_common(psi, 1, 3)
+        message = str(info.value)
+        assert message.startswith("triples span 5 dimensions, more than four (residual "), message
+        stacked = np.hstack([np.column_stack([v.view(float) for v in triple_columns(psi, k)]) for k in (1, 3)])
+        svals = np.linalg.svd(stacked, compute_uv=False)
+        assert math.isfinite(info.value.residual) and info.value.residual > DEFAULT_TOL
+        assert abs(info.value.residual - svals[4] / svals[0]) <= 1e-12
+        assert np_triple_span_dim(psi, [1, 3]) == 5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_fresh_and_full_memo_agree_bitwise(self, k):
+        # the adjustment and the span check read the state's triple memo:
+        # a state whose memo is full gives the bits of a fresh one
+        rng = np.random.default_rng(70 + k)
+        factors = [random_su2(rng) for _ in range(2 * k)]
+        slots = [2 * k - 1, 2 * k]
+        for j in slots:
+            factors[j - 1] = SU2GroupElement.identity()
+        dressed = apply_group(LocalUnitary(tuple(factors)), make_singlet_product(k))
+        fresh, full = (PureState(n=2 * k, amps=dressed.amps) for _ in range(2))
+        for j in range(1, 2 * k + 1):
+            orthogonality_report(full, "triple", k=j)
+        assert sorted(vars(full)[inner_products._MEMO]) == list(range(1, 2 * k + 1))
+        assert triple_span_dim(fresh, slots) == triple_span_dim(full, slots) == np_triple_span_dim(dressed, slots)
+        fresh = PureState(n=2 * k, amps=dressed.amps)
+        (u_fresh, psi_fresh), (u_full, psi_full) = adjust_two_common(fresh, *slots), adjust_two_common(full, *slots)
+        for a, b in zip(u_fresh.factors, u_full.factors):
+            assert same_bits(a.matrix, b.matrix)
+        assert same_bits(psi_fresh.amps, psi_full.amps)
+        assert triple_span_dim(psi_fresh, slots) == triple_span_dim(psi_full, slots)
 
     def test_rejects_wide_span(self):
         with pytest.raises(HypothesisViolationError):

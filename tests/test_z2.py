@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitscope import z2
 from orbitscope.cli import engineered_sign_instance
 from orbitscope.orbit_matrix import exact_rank_kernel
 from orbitscope.z2 import (
@@ -152,6 +153,29 @@ class TestSolveSignKernel:
             else:
                 solve_sign_kernel(matrix)
         assert outcomes == {True, False}
+
+    def test_no_witness_for_an_injective_e_with_rows_equal_to_or_above_m(self):
+        cases = [
+            [(0, 0), (0, 1)],  # rows = m = 2: E = [[1, 1], [1, -1]]
+            [(0, 0), (0, 1), (1, 1)],  # rows > m
+            [(0, 0, 0), (0, 0, 1), (0, 1, 0)],  # rows = m = 3
+            [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)],  # rows > m
+        ]
+        for bit_rows in cases:
+            m = len(bit_rows[0])
+            assert len(bit_rows) >= m and np.linalg.matrix_rank(1 - 2 * np.array(bit_rows)) == m
+            with pytest.raises(NoWitnessError, match="trivial kernel"):
+                solve_sign_kernel(Z2Matrix.from_bit_rows(bit_rows))
+
+    def test_fewer_rows_than_columns_skip_the_elimination(self, monkeypatch):
+        # rank E <= rows < m, so E is singular without eliminating E^T E,
+        # and the witness is the two eliminations' one
+        monkeypatch.setattr(z2, "exact_rank_kernel", lambda gram: pytest.fail("E^T E was eliminated"))
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            m = int(rng.integers(2, 12))
+            matrix = Z2Matrix.from_bit_rows(rng.integers(0, 2, size=(int(rng.integers(1, m)), m)).tolist())
+            assert same_outcome(witness_or_refusal(matrix), two_elimination_witness(matrix)[0])
 
     def test_deterministic_lex_min(self):
         m = Z2Matrix(rows=(0,) * 3, ncols=3)  # kernel is everything
