@@ -1,18 +1,25 @@
 """GF(2) sign-matrix machinery: kernel/ones-preimage witnesses, zero rows of
 the diagonal sign-sum matrix, parity sets, and parity-class partitions.
 
-Given reals xi_1..xi_m, the 2^m sign sums sum_i (-1)^{r_i} xi_i are streamed
-(the 2^m x 2^m diagonal matrix is never formed).  Stacking the sign patterns
-r that sum to zero into a 0/1 matrix L, the corresponding +-1 matrix E kills
-xi, so L either has a nontrivial GF(2) kernel or maps some v to the all-ones
-vector; the support of v is the parity set.
+Given reals xi_1..xi_m, the sign patterns r whose sums
+sum_i (-1)^{r_i} xi_i vanish are found by meeting in the middle (Horowitz and
+Sahni, 1974): the 2^{m/2} sign sums of each half of xi are listed, and one
+list, sorted, is bisected for the negation of each sum in the other.  That
+takes O(2^{m/2} m) time and O(2^{m/2}) memory, plus the output of up to
+C(m, m/2) rows; neither the 2^m sums nor the 2^m x 2^m diagonal matrix is
+ever formed.  Stacking the zero rows r into a 0/1 matrix L, the
+corresponding +-1 matrix E kills xi, so L either has a nontrivial GF(2)
+kernel or maps some v to the all-ones vector; the support of v is the
+parity set.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from numbers import Rational
+from fractions import Fraction
+from numbers import Rational, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,7 +91,7 @@ class Z2Witness:
 
 
 def _mask_to_bits(mask: int, m: int) -> tuple[int, ...]:
-    return tuple((mask >> j) & 1 for j in range(m))
+    return tuple([mask >> j & 1 for j in range(m)])
 
 
 def _gf2_eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -164,35 +171,89 @@ def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
     return Z2Witness(("kernel", "ones-preimage")[parity], bits, support, parity)
 
 
-def _zero_masks(xi: Sequence, tol: float) -> list[int]:
-    """The zero rows of `zero_rows` as bitmasks: bit j-1 is the sign bit r_j."""
-    m = len(xi)
-    if m == 0 or all(v == 0 for v in xi):
-        raise ValueError("xi must be nonempty and not all zero")
-    if m > ENUMERATION_CAP:
-        raise CapacityError(f"m={m} exceeds enumeration cap {ENUMERATION_CAP}")
-    if all(isinstance(v, Rational) for v in xi):
-        # scaled to integers; partial sums stay below sum |xi_i| in magnitude
+def _scaled(xi: Sequence, tol: float) -> tuple[list, float]:
+    """xi as the Python numbers whose sign sums are tested, and the bound on
+    a zero sum: integers and 0 for rational xi, else floats and tol * ||xi||_1.
+
+    Rationals are scaled to integers by the lcm of their denominators, and
+    floats by 2^-e, which brings the largest |xi_i| to [1/2, 1) exactly, so
+    no sign sum, nor ||xi||_1, can overflow.  Only a coefficient below about
+    2^-1021 times the largest loses bits, to the subnormal range.
+    """
+    exact = True
+    for j, v in enumerate(xi):
+        kind = type(v)
+        if kind is Fraction or kind is int:  # before the slower ABC tests
+            continue
+        if kind is bool or not isinstance(v, Real):
+            raise ValueError(f"xi[{j}] = {v!r} is not a real number")
+        if not isinstance(v, Rational):
+            if not math.isfinite(v):
+                raise ValueError(f"xi[{j}] = {v!r} is not finite")
+            exact = False
+    if exact:
         pairs = [(int(v.numerator), int(v.denominator)) for v in xi]
         scale = math.lcm(*(d for _, d in pairs))
-        values = [p * (scale // d) for p, d in pairs]
-        dtype = np.int64 if sum(map(abs, values)) < 2**63 else object
-        values = np.array(values, dtype=dtype)
-        bound = 0
-    else:
-        values = np.array(xi, dtype=float)
-        bound = tol * float(np.sum(np.abs(values)))
-    sums = np.zeros(1, dtype=values.dtype)
+        return [p * (scale // d) for p, d in pairs], 0
+    floats = [float(v) for v in xi]
+    e = math.frexp(max(map(abs, floats)))[1]
+    floats = [math.ldexp(v, -e) for v in floats]
+    return floats, tol * math.fsum(map(abs, floats))
+
+
+def _signed_sums(values: Sequence) -> list:
+    """sum_j (-1)^{bit j of a} values[j] for every a < 2^len(values), by
+    doubling: the sums with the last sign bit set follow those without."""
+    sums = [0]
     for v in values:
-        sums = np.concatenate([sums + v, sums - v])
-    return np.flatnonzero(np.abs(sums) <= bound).tolist()
+        sums = [s + v for s in sums] + [s - v for s in sums]
+    return sums
+
+
+def _zero_masks(xi: Sequence, tol: float) -> list[int]:
+    """The zero rows of `zero_rows` as ascending bitmasks: bit j-1 is the
+    sign bit r_j.
+
+    Meet in the middle: a sign pattern is a pattern a of the first h = m // 2
+    signs and b of the rest, and it is a zero row when low[a] + high[b] is.
+    The high sums are sorted once, and each low sum bisects them for the
+    window around -low[a].  For floats the window is widened by a few ulps,
+    more than -low[a] +- bound can lose to rounding, and each candidate is
+    tested again as low[a] + high[b].
+    """
+    m = len(xi)
+    if m > ENUMERATION_CAP:
+        raise CapacityError(f"m={m} exceeds enumeration cap {ENUMERATION_CAP}")
+    values, bound = _scaled(xi, tol)
+    if not any(values):
+        raise ValueError("xi must be nonempty and not all zero")
+    h = m // 2
+    low, high = _signed_sums(values[:h]), _signed_sums(values[h:])
+    order = sorted(range(len(high)), key=high.__getitem__)
+    keys = [high[b] for b in order]
+    # scaled sign sums are below m in magnitude, so 4 ulps of m + bound
+    # exceed what rounding takes from -s +- pad and adds to |s + t| near the
+    # bound; a zero bound (the exact path, or tol = 0) needs none, as a float
+    # sum s + t is 0 only for t = -s
+    pad = bound + 4 * math.ulp(m + bound) if bound else bound
+    masks = []
+    for a, s in enumerate(low):
+        for i in range(bisect_left(keys, -s - pad), bisect_right(keys, -s + pad)):
+            if abs(s + keys[i]) <= bound:
+                masks.append(a | order[i] << h)
+    masks.sort()
+    return masks
 
 
 def zero_rows(xi: Sequence, tol: float = DEFAULT_ZERO_TOL) -> list[tuple[int, ...]]:
-    """All sign patterns r in {0,1}^m with sum_i (-1)^{r_i} xi_i = 0.
+    """All sign patterns r in {0,1}^m with sum_i (-1)^{r_i} xi_i = 0, in
+    ascending order of the bitmask sum_i r_i 2^{i-1}.
 
     The zero test is exact for rational xi, else |sum| <= tol * ||xi||_1.
-    Sums are built by doubling, so only the 2^m diagonal is ever held.
+    A str, a bool or a non-finite entry raises ValueError naming its index.
+    The search meets in the middle: it holds the 2^{m/2} sign sums of each
+    half of xi, in O(2^{m/2}) memory and O(2^{m/2} m) time, plus the output
+    of up to C(m, m/2) rows (xi = (1, ..., 1) has that many for even m).
     """
     return [_mask_to_bits(r, len(xi)) for r in _zero_masks(xi, tol)]
 

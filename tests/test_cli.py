@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitscope import cli
+from orbitscope import cli, z2
 from orbitscope.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
     SpecParseError,
     default_tolerance,
     dumps,
@@ -568,6 +569,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--n-max", "2")
         assert code == EXIT_OK
         assert "500/500" in out
+
+    @pytest.mark.parametrize("contradiction", [True, False])
+    def test_lemma_suite_counts_a_failed_instance(self, capsys, monkeypatch, contradiction):
+        # an odd parity set fails find_parity_set's own re-check; a refused E
+        # leaves no witness to check
+        def solve(matrix):
+            if not contradiction:
+                raise z2.NoWitnessError("the +-1 matrix E has trivial kernel")
+            return z2.Z2Witness("kernel", (1,) + (0,) * (matrix.ncols - 1), frozenset({1}), 0)
+
+        monkeypatch.setattr(z2, "solve_sign_kernel", solve)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma")
+        assert code == EXIT_VERIFY_FAIL and err == ""
+        status = "FAIL" if contradiction else "pass"
+        assert out.splitlines()[:3] == [
+            "FAIL  sign-kernel lemma: 0/500 witnesses found",
+            f"{status}  all parity sets even",
+            f"{status}  constant parity over zero rows",
+        ]
 
     def test_unknown_suite(self, capsys):
         err = usage_error(capsys, "verify", "--suite", "nope")

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,9 +40,10 @@ def brute_ones_preimages(matrix):
 def brute_zero_rows(xi):
     """Oracle: enumerate all sign patterns directly."""
     m = len(xi)
+    exact = [Fraction(v) for v in xi]
     out = []
     for r in range(1 << m):
-        total = sum((-1 if (r >> j) & 1 else 1) * Fraction(xi[j]) for j in range(m))
+        total = sum(-v if (r >> j) & 1 else v for j, v in enumerate(exact))
         if total == 0:
             out.append(tuple((r >> j) & 1 for j in range(m)))
     return out
@@ -336,6 +339,89 @@ class TestZeroRows:
     def test_sign_bit_orientation(self):
         # bit j-1 of the mask is r_j: for xi=(1,-1) the row (0,0) is a zero row
         assert (0, 0) in zero_rows((1, -1))
+
+    def test_every_m_against_oracle_in_ascending_order(self):
+        # odd m puts one more coefficient in the high half than the low one
+        rng = np.random.default_rng(41)
+        for m in range(1, 13):
+            for _ in range(3):
+                ints = [int(v) for v in rng.integers(-6, 7, size=m)]
+                ints[0] = ints[0] or 1
+                fracs = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-30, 31, size=m), rng.integers(1, 7, size=m))]
+                if m > 1:
+                    eps = rng.choice([-1, 1], size=m - 1)
+                    fracs[-1] = sum(int(e) * v for e, v in zip(eps, fracs[:-1])) or Fraction(1, 3)
+                for xi, exact in ((ints, ints), ([float(v) for v in ints], ints), (fracs, fracs)):
+                    if any(exact):
+                        assert zero_rows(xi) == brute_zero_rows(exact), xi
+
+    def test_single_coefficient(self):
+        assert zero_rows([3]) == zero_rows([Fraction(-2, 7)]) == zero_rows([0.5]) == []
+
+    def test_all_ones_has_the_central_binomial_count(self):
+        for m in range(1, 17):
+            count = math.comb(m, m // 2) if m % 2 == 0 else 0
+            assert len(zero_rows([1] * m)) == len(zero_rows([1.0] * m)) == count
+
+    def test_rows_ascend_as_masks(self):
+        masks = [sum(b << j for j, b in enumerate(r)) for r in zero_rows([1, 2, 3, 1, 2, 3, 4, 2, 2, 2])]
+        assert len(masks) > 10 and masks == sorted(set(masks))
+
+    def test_float_sum_on_the_bound_and_rounding_past_it(self):
+        # sign sums delta +- 2^-90 and delta, with a bound of exactly delta:
+        # rows (0,0,1,0) and (0,0,0,1) sum to delta, on the bound, and row
+        # (0,0,0,0) to delta + 2^-90, which the zero test's sum rounds to
+        # delta; -s + bound = 0 itself is below the high-half sum 2^-90, so
+        # only a window widened past it finds that row
+        delta = 2.0**-30
+        xi = [0.5, -(0.5 - delta), 2.0**-91, 2.0**-91]
+        tol = delta / (1 - delta)
+        assert tol * math.fsum(map(abs, xi)) == delta
+        rows = zero_rows(xi, tol)
+        assert {(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0), (1, 1, 1, 1)} <= set(rows) and len(rows) == 8
+        assert zero_rows(xi, math.nextafter(tol, 0)) == []
+
+    @pytest.mark.parametrize(
+        "xi, index",
+        [
+            (["1", "-1"], 0),
+            ([1, b"1"], 1),
+            ([True, True], 0),
+            ([2, False], 1),
+            ([math.inf, -math.inf], 0),
+            ([1.0, math.nan], 1),
+            ([Fraction(1), np.float64(-math.inf)], 1),
+        ],
+    )
+    def test_refuses_non_real_or_non_finite_coefficients(self, xi, index):
+        with pytest.raises(ValueError, match=rf"^xi\[{index}\] = "):
+            zero_rows(xi)
+
+    def test_huge_floats_are_scaled_before_summing(self):
+        # ||xi||_1 = 3e308 overflows unscaled, and the bound with it
+        assert zero_rows([1e308, 1e308, -1e308]) == []
+        assert zero_rows([1e308, -1e308, 5e-324]) == [(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]
+        assert find_parity_set([1e308, 1e308]).parity_set == frozenset({1, 2})
+
+    def test_cap_instance_in_half_lists(self):
+        # 23 random 40-bit integers and one forced zero sum: the doubling
+        # search held all 2^24 sums (320 MiB); the halves hold 2^12 each
+        rng = np.random.default_rng(24)
+        values = [int(v) for v in rng.integers(1, 2**40, size=23)]
+        eps = [int(e) for e in rng.choice([-1, 1], size=23)]
+        xi = values + [sum(e * v for e, v in zip(eps, values))]
+        forced = tuple(int(e < 0) for e in eps) + (1,)
+        tracemalloc.start()
+        try:
+            rows = zero_rows(xi)
+            witness = find_parity_set(xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forced in rows and rows == sorted(rows, key=lambda r: r[::-1])
+        assert peak < 4 << 20, peak
+        assert len(witness.parity_set) % 2 == 0
+        assert {sum(r[k - 1] for k in witness.parity_set) % 2 for r in rows} == {witness.parity}
 
 
 class TestFindParitySet:
