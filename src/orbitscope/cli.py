@@ -23,7 +23,6 @@ import numpy as np
 from . import z2
 from .inner_products import (
     ALL_KINDS,
-    SIGN_CACHE_BYTES_PER_AMP,
     SINGLE_KINDS,
     InnerProductKind,
     direct_inner_product,
@@ -63,9 +62,9 @@ STATE_BYTES_PER_AMP = 80
 # a Python-int Gram sum, n = 11).
 BLOCK_BUFFERS = 8
 # Bytes per amplitude and qubit of the table's memos on a state: the three
-# complex columns of every slot (`_slot_columns`, 48) and its flipped
-# amplitudes (`_flipped`, 16).
-MEMO_BYTES_PER_AMP_QUBIT = 64
+# complex columns of every slot (`_slot_columns`, 48) and its signed and
+# flipped amplitudes (`_slot_vectors`, 48).
+MEMO_BYTES_PER_AMP_QUBIT = 96
 
 
 class UsageError(ValueError):
@@ -353,10 +352,10 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     # theorem, table1 and triples build states of every size up to --n-max
-    # (none below 1); table1 also memoises each state's columns and flipped
-    # amplitudes, and keeps sign tables of its sizes
+    # (none below 1); table1 also memoises each state's columns and signed
+    # and flipped amplitudes
     if args.suite in ("theorem", "table1", "triples") and args.n_max > 0:
-        memo = MEMO_BYTES_PER_AMP_QUBIT * args.n_max + SIGN_CACHE_BYTES_PER_AMP if args.suite == "table1" else 0
+        memo = MEMO_BYTES_PER_AMP_QUBIT * args.n_max if args.suite == "table1" else 0
         check_capacity(args.n_max, STATE_BYTES_PER_AMP + memo)
     checks, failures = 0, []
     for name, ok in _SUITES[args.suite](args.n_max):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -54,99 +53,65 @@ class InnerProductKind:
             raise ValueError(f"kind {self.tag} needs both slots j and k")
 
 
-@lru_cache(maxsize=32)
-def _slot_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-1)^{i_k} as int8 and the flip I -> I_k as indices, for slot k of an
-    n-qubit state; qubit k is bit n - k of the index.
-
-    Both arrays are read-only and depend on (n, k) alone, never on a state.
-    One entry holds 9 * 2^n bytes, so the 32 entries kept hold at most
-    288 * 2^n bytes for the largest n in use: 18 KB at n = 6, 295 KB at n = 10.
-    The CLI's capacity rule does not count them.
-    """
-    idx = np.arange(1 << n)
-    signs = (1 - 2 * ((idx >> (n - k)) & 1)).astype(np.int8)
-    flip = idx ^ (1 << (n - k))
-    signs.setflags(write=False)
-    flip.setflags(write=False)
-    return signs, flip
-
-
-# Entries kept by the two sign caches below.  Each entry is a complex
-# +-1 table of 16 * 2^n bytes, so together they hold at most
-# SIGN_CACHE_BYTES_PER_AMP * 2^n bytes for the largest n in use, which the
-# CLI's capacity rule counts for `verify --suite table1`.
-SIGN_CACHE_ENTRIES = 32
-PAIR_SIGN_CACHE_ENTRIES = 64
-SIGN_CACHE_BYTES_PER_AMP = 16 * (SIGN_CACHE_ENTRIES + PAIR_SIGN_CACHE_ENTRIES)
-
-
-@lru_cache(maxsize=SIGN_CACHE_ENTRIES)
-def _signs(n: int, k: int) -> np.ndarray:
-    """(-1)^{i_k} as a read-only complex +-1 table: `_slot_table`'s int8
-    signs cast as numpy casts them before it multiplies them into complex
-    amplitudes, so a product with this table is bitwise the product with
-    the int8 signs.  It depends on (n, k) alone; the 32 entries kept hold at
-    most 512 * 2^n bytes for the largest n in use: 32 KB at n = 6."""
-    signs = _slot_table(n, k)[0].astype(complex)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=PAIR_SIGN_CACHE_ENTRIES)
-def _pair_signs(n: int, j: int, k: int) -> np.ndarray:
-    """(-1)^{i_j} * (-1)^{i_k} for j <= k, the int8 product of `_slot_table`'s
-    signs cast to a read-only complex +-1 table, as `_signs` casts one
-    slot's.  The n(n + 1)/2 pairs of every n <= 10 fit the 64 entries kept,
-    which hold at most 1024 * 2^n bytes for the largest n in use: 64 KB at
-    n = 6, 256 KB at n = 8."""
-    signs = (_slot_table(n, j)[0] * _slot_table(n, k)[0]).astype(complex)
-    signs.setflags(write=False)
-    return signs
-
-
 # The memos below are dicts kept in a PureState's own __dict__, as
 # `functools.cached_property` keeps a value on a frozen dataclass: each is
 # freed with its state, never shared between states, and not a field, so
 # `==`, `repr` and `dataclasses.fields` do not see it.  These are their keys:
-# the table's flipped amplitudes, the oracle's triples, and the rows of
-# those triples by label, as views made once.
-_FLIPS = "_table_flips"
+# the table's signed and flipped amplitudes, the oracle's triples, and the
+# rows of those triples by label, as views made once.
+_VECTORS = "_table_vectors"
 _MEMO = "_oracle_columns"
 _ROWS = "_oracle_rows"
 
-
-def _flipped(psi: PureState, k: int) -> np.ndarray:
-    """c_{I_k}: the amplitudes read through slot k's flip I -> I_k, kept
-    read-only in the state's memo.  A state holds at most n of them,
-    16n * 2^n bytes."""
-    memo = psi.__dict__.get(_FLIPS)
-    flipped = memo.get(k) if memo else None
-    if flipped is None:
-        flipped = psi.amps[_slot_table(psi.n, k)[1]]
-        flipped.setflags(write=False)
-        psi.__dict__.setdefault(_FLIPS, {})[k] = flipped
-    return flipped
+# (-1)^{i_k} on the middle axis of the (2^{k-1}, 2, 2^{n-k}) view: +1 where
+# qubit k is 0, -1 where it is 1
+_SIGN = np.array([1, -1], dtype=complex)[:, None]
 
 
-# One row per closed form: (phase, carries (-1)^{i_j}, carries (-1)^{i_k},
-# left amplitude is c_{I_j}, right amplitude is c_{I_k}).  The value is
-# phase * sum_I conj(left_I) * sign_I * right_I.
+def _slot_vectors(psi: PureState, k: int) -> tuple[np.ndarray, ...]:
+    """(c, s c, f, s f) for slot k: the amplitudes c, their signs
+    s = (-1)^{i_k}, and the flipped amplitudes f = c_{I_k}, read off the
+    (2^{k-1}, 2, 2^{n-k}) view of c whose middle axis is qubit k.
+
+    The last three are read-only, C-contiguous and kept in the state's
+    memo: a state holds at most n triples of them, 48n * 2^n bytes.  The
+    flip is copied contiguous, since a reversed view may flatten to a
+    negative stride, over which `np.vdot` sums in another order.
+    """
+    memo = psi.__dict__.get(_VECTORS)
+    vectors = memo.get(k) if memo else None
+    if vectors is None:
+        c = psi.amps
+        view = c.reshape(1 << (k - 1), 2, -1)
+        f = np.ascontiguousarray(view[:, ::-1])
+        vectors = (c, *(v.reshape(-1) for v in (_SIGN * view, f, _SIGN * f)))
+        for v in vectors[1:]:
+            v.setflags(write=False)
+        psi.__dict__.setdefault(_VECTORS, {})[k] = vectors
+    return vectors
+
+
+# Indices into `_slot_vectors`
+_C, _SC, _F, _SF = range(4)
+
+# One row per closed form: (phase, left vector of slot j, right vector of
+# slot k); the value is phase * sum_I conj(left_I) * right_I.  A single-slot
+# form reads c on the left.
 _FORMS = {
-    "A": (1j, False, True, False, False),
-    "B": (1, False, True, False, True),
-    "C": (1j, False, False, False, True),
-    "AA": (1, True, True, False, False),
-    "BA": (1j, True, True, True, False),
-    "CA": (1, False, True, True, False),
-    "AB": (-1j, True, True, False, True),
-    "BB": (1, True, True, True, True),
+    "A": (1j, _C, _SC),
+    "B": (1, _C, _SF),
+    "C": (1j, _C, _F),
+    "AA": (1, _SC, _SC),
+    "BA": (1j, _SF, _SC),
+    "CA": (1, _F, _SC),
+    "AB": (-1j, _SC, _SF),
+    "BB": (1, _SF, _SF),
     # the printed table has (-1)^{i_j} here; direct evaluation on e.g.
     # |00> + i|11> shows that (-1)^{i_k} matches the column dot products
-    "CB": (-1j, False, True, True, True),
-    "AC": (1, True, False, False, True),
-    "BC": (1j, True, False, True, True),
-    "CC": (1, False, False, True, True),
+    "CB": (-1j, _F, _SF),
+    "AC": (1, _SC, _F),
+    "BC": (1j, _SF, _F),
+    "CC": (1, _F, _F),
 }
 
 
@@ -156,24 +121,15 @@ def table_inner_product(psi: PureState, kind: InnerProductKind) -> complex:
     The sums keep the paper's bit formulas, in (-1)^{i_k} and c_{I_k}, on
     purpose: the direct side (`direct_inner_product`) applies the basis
     matrices instead, so the two sides share no derivation.  Each form is
-    one complex multiply and one `np.vdot` of its `_FORMS` row: the sign
-    s_j = (-1)^{i_j}, s_k = (-1)^{i_k} or s_j * s_k comes whole from a
-    complex table (`_signs`, `_pair_signs`), the flipped amplitudes from the
-    state's memo (`_flipped`), and a phase of 1 is not multiplied in, so
-    signed zeros stay.  The values are bitwise those of the int8 signs
-    multiplied into freshly gathered amplitudes.
+    one `np.vdot` of the two vectors its `_FORMS` row names, from the
+    state's memo (`_slot_vectors`); a phase of 1 is not multiplied in, so
+    signed zeros stay.
     """
     n, j, k = psi.n, kind.j, kind.k
     if not 1 <= k <= n or (j is not None and not 1 <= j <= n):
         raise ValueError(f"slots out of range 1..{n}: {kind}")
-    phase, sign_j, sign_k, flip_j, flip_k = _FORMS[kind.tag]
-    c = psi.amps
-    right = _flipped(psi, k) if flip_k else c
-    if sign_j and sign_k:
-        right = _pair_signs(n, min(j, k), max(j, k)) * right
-    elif sign_j or sign_k:
-        right = _signs(n, j if sign_j else k) * right
-    value = np.vdot(_flipped(psi, j) if flip_j else c, right)
+    phase, left, right = _FORMS[kind.tag]
+    value = np.vdot(_slot_vectors(psi, j or k)[left], _slot_vectors(psi, k)[right])
     return complex(value if phase == 1 else phase * value)
 
 

@@ -178,7 +178,8 @@ def _scaled(xi: Sequence, tol: float) -> tuple[list, float]:
     Rationals are scaled to integers by the lcm of their denominators, and
     floats by 2^-e, which brings the largest |xi_i| to [1/2, 1) exactly, so
     no sign sum, nor ||xi||_1, can overflow.  Only a coefficient below about
-    2^-1021 times the largest loses bits, to the subnormal range.
+    2^-1021 times the largest loses bits, to the subnormal range.  Next to a
+    float, a rational beyond the float range raises ValueError.
     """
     exact = True
     for j, v in enumerate(xi):
@@ -195,7 +196,12 @@ def _scaled(xi: Sequence, tol: float) -> tuple[list, float]:
         pairs = [(int(v.numerator), int(v.denominator)) for v in xi]
         scale = math.lcm(*(d for _, d in pairs))
         return [p * (scale // d) for p, d in pairs], 0
-    floats = [float(v) for v in xi]
+    floats = []
+    for j, v in enumerate(xi):
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise ValueError(f"xi[{j}] is too large for a float, and xi has float entries") from None
     e = math.frexp(max(map(abs, floats)))[1]
     floats = [math.ldexp(v, -e) for v in floats]
     return floats, tol * math.fsum(map(abs, floats))
@@ -250,7 +256,8 @@ def zero_rows(xi: Sequence, tol: float = DEFAULT_ZERO_TOL) -> list[tuple[int, ..
     ascending order of the bitmask sum_i r_i 2^{i-1}.
 
     The zero test is exact for rational xi, else |sum| <= tol * ||xi||_1.
-    A str, a bool or a non-finite entry raises ValueError naming its index.
+    A str, a bool, a non-finite entry or, next to a float, a rational beyond
+    the float range raises ValueError naming its index.
     The search meets in the middle: it holds the 2^{m/2} sign sums of each
     half of xi, in O(2^{m/2}) memory and O(2^{m/2} m) time, plus the output
     of up to C(m, m/2) rows (xi = (1, ..., 1) has that many for even m).

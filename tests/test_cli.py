@@ -138,13 +138,12 @@ class TestCapacity:
         err = usage_error(capsys, "verify", "--suite", "table1", "--n-max", "12")
         assert err.startswith("error: n=12 exceeds capacity")
 
-    def test_table1_counts_the_flips_memo_and_the_sign_caches(self, capsys, monkeypatch, no_state_builders):
-        # per amplitude: the state's 80 bytes, 64 n of memo (48 n triples and
-        # 16 n flipped amplitudes) and 16 (32 + 64) of sign tables; on 8 GiB
-        # (80 + 64 * 21 + 1536) 2^21 fits and (80 + 64 * 22 + 1536) 2^22 does
-        # not, where the triples alone, (80 + 48 * 22) 2^22, would
-        assert cli.MEMO_BYTES_PER_AMP_QUBIT == 48 + 16
-        assert cli.SIGN_CACHE_BYTES_PER_AMP == 16 * (32 + 64)
+    def test_table1_counts_the_signed_and_flipped_amplitudes(self, capsys, monkeypatch, no_state_builders):
+        # per amplitude: the state's 80 bytes and 96 n of memo (48 n triples
+        # and 48 n signed and flipped amplitudes); on 8 GiB (80 + 96 * 21)
+        # 2^21 fits and (80 + 96 * 22) 2^22 does not, where the triples
+        # alone, (80 + 48 * 22) 2^22, would
+        assert cli.MEMO_BYTES_PER_AMP_QUBIT == 48 + 48
         monkeypatch.setattr(cli, "physical_memory", lambda: 8 << 30)
         cli.check_capacity(22, cli.STATE_BYTES_PER_AMP + 48 * 22)
         ran = []

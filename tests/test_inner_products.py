@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import re
@@ -40,6 +41,7 @@ from orbitscope.states import (
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
+    multi_index_complement,
     sample_haar_state,
 )
 
@@ -138,11 +140,22 @@ class TestTableAgainstDirect:
                 assert abs(ab - np.conj(ba)) <= 1e-12 * psi.norm() ** 2
 
 
+@functools.lru_cache(maxsize=None)
+def slot_signs_and_flips(n, k):
+    """(-1)^{i_k} as int8 and the flip I -> I_k as indices over all 2^n
+    indices, read off each multi-index's bits and its complement in bit k."""
+    indices = [MultiIndex.from_int(i, n) for i in range(1 << n)]
+    signs = np.array([1 - 2 * index.bits[k - 1] for index in indices], dtype=np.int8)
+    flip = np.array([multi_index_complement(index, k).to_int() for index in indices])
+    return signs, flip
+
+
 def branch_formula(psi, kind):
     """The closed forms written as one branch per tag: an independent copy
-    of the twelve formulas that the table rows encode."""
+    of the twelve formulas that the table rows encode, with int8 signs
+    multiplied into freshly gathered amplitudes."""
     c = psi.amps
-    sk, fk = inner_products._slot_table(psi.n, kind.k)
+    sk, fk = slot_signs_and_flips(psi.n, kind.k)
     tag = kind.tag
     if tag == "A":
         return complex(1j * np.vdot(c, sk * c))
@@ -150,7 +163,7 @@ def branch_formula(psi, kind):
         return complex(np.vdot(c, sk * c[fk]))
     if tag == "C":
         return complex(1j * np.vdot(c, c[fk]))
-    sj, fj = inner_products._slot_table(psi.n, kind.j)
+    sj, fj = slot_signs_and_flips(psi.n, kind.j)
     if tag == "AA":
         return complex(np.vdot(c, sj * sk * c))
     if tag == "BA":
@@ -256,22 +269,20 @@ def kinds_in_order(n, order):
 
 
 class TestTableMemo:
-    """The flips memo on each state and the complex sign caches by size give
-    the branch formulas' bits on a cold memo, on a warm one, and right after
+    """The signed and flipped amplitudes memoised on each state give the
+    branch formulas' bits on a cold memo, on a warm one, and right after
     the rows of another state of the same n."""
 
     @pytest.mark.parametrize("order", ["tag-major", "slot-major"])
     def test_cold_warm_and_interleaved_rows_bitwise(self, order):
         for states in branch_formula_state_sets():
-            inner_products._signs.cache_clear()
-            inner_products._pair_signs.cache_clear()
             for n in sorted({psi.n for psi in states}):
                 group = [psi for psi in states if psi.n == n]
                 kinds = kinds_in_order(n, order)
                 expected = [[bits_of(branch_formula(psi, kind)) for kind in kinds] for psi in group]
                 # fresh objects over the same amplitudes: no memo yet
                 fresh = [PureState(n=n, amps=psi.amps) for psi in group]
-                assert not any(inner_products._FLIPS in vars(psi) for psi in fresh)
+                assert not any(inner_products._VECTORS in vars(psi) for psi in fresh)
                 for want, psi in zip(expected, fresh):  # cold, then after the previous state
                     assert [bits_of(table_inner_product(psi, kind)) for kind in kinds] == want
                 for want, psi in zip(expected, fresh):  # warm
@@ -280,46 +291,58 @@ class TestTableMemo:
                     assert [bits_of(table_inner_product(psi, kind)) for psi in fresh] == [w[i] for w in expected]
 
     def test_a_flips_memo_for_the_wrong_slot_is_seen(self):
-        # slot 1's memo filled with slot 2's flips: rows that read c_{I_1},
-        # and only those, lose the branch formulas' bits
+        # slot 1's memo filled with slot 2's vectors: every row evaluates
+        # to the branch formula with slot 1 read as slot 2, so the rows that
+        # name slot 1 change and no other row does
         psi = sample_haar_state(3, 21)
-        wrong = psi.amps[inner_products._slot_table(3, 2)[1]]
-        vars(psi)[inner_products._FLIPS] = {1: wrong}
-        differ = [kind for kind in all_kind_instances(3)
-                  if bits_of(table_inner_product(psi, kind)) != bits_of(branch_formula(psi, kind))]
-        flips_1 = [kind for kind in all_kind_instances(3)
-                   if (inner_products._FORMS[kind.tag][4] and kind.k == 1)
-                   or (inner_products._FORMS[kind.tag][3] and kind.j == 1)]
-        assert differ and set(differ) <= set(flips_1)
+        s2, f2 = slot_signs_and_flips(3, 2)
+        c = psi.amps
+        vars(psi)[inner_products._VECTORS] = {1: (c, s2 * c, c[f2], s2 * c[f2])}
+        changed = 0
+        for kind in all_kind_instances(3):
+            as_2 = dataclasses.replace(kind, k=2 if kind.k == 1 else kind.k, j=2 if kind.j == 1 else kind.j)
+            value = bits_of(table_inner_product(psi, kind))
+            assert value == bits_of(branch_formula(psi, as_2)), kind
+            changed += value != bits_of(branch_formula(psi, kind))
+        assert changed >= 40
+
+    def test_each_slot_is_made_once_per_state(self):
+        # every row of a 4-qubit state, in both orders: one memo entry per
+        # slot, made by the first row that reads the slot and kept after
+        psi = sample_haar_state(4, 23)
+        made = {}
+        for order in ("tag-major", "slot-major", "tag-major"):
+            for kind in kinds_in_order(4, order):
+                table_inner_product(psi, kind)
+                memo = vars(psi)[inner_products._VECTORS]
+                for k in (kind.j, kind.k):
+                    if k is not None:
+                        assert memo[k] is made.setdefault(k, memo[k])
+        assert sorted(vars(psi)[inner_products._VECTORS]) == [1, 2, 3, 4] == sorted(made)
 
     def test_flips_are_read_only_private_and_freed(self):
         psi = sample_haar_state(3, 22)
         twin = PureState(n=3, amps=psi.amps)
         before = (repr(psi), dataclasses.fields(psi), psi == twin)
         table_inner_product(psi, InnerProductKind("BB", 3, 1))
-        flips = vars(psi)[inner_products._FLIPS]
-        assert sorted(flips) == [1, 3] and inner_products._FLIPS not in vars(twin)
-        for k, flipped in flips.items():
-            assert np.array_equal(flipped, psi.amps[inner_products._slot_table(3, k)[1]])
-            with pytest.raises(ValueError, match="read-only"):
-                flipped[0] = 1
+        memo = vars(psi)[inner_products._VECTORS]
+        assert sorted(memo) == [1, 3] and inner_products._VECTORS not in vars(twin)
+        c = psi.amps
+        for k, (amps, signed, flipped, signed_flipped) in memo.items():
+            s, f = slot_signs_and_flips(3, k)
+            assert amps is c
+            assert bits_of_array(signed) == bits_of_array(s * c)
+            assert bits_of_array(flipped) == bits_of_array(c[f])
+            assert bits_of_array(signed_flipped) == bits_of_array(s * c[f])
+            for vector in (signed, flipped, signed_flipped):
+                assert vector.shape == (8,) and vector.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    vector[0] = 1
         assert (repr(psi), dataclasses.fields(psi), psi == twin) == before
-        state, flipped = weakref.ref(psi), weakref.ref(flips[3])
-        del psi, flips
+        state, flipped = weakref.ref(psi), weakref.ref(memo[3][2])
+        del psi, memo
         gc.collect()
         assert state() is None and flipped() is None
-
-    def test_sign_tables_are_read_only_and_bounded(self):
-        for n, k in ((1, 1), (4, 2), (6, 6)):
-            signs = inner_products._signs(n, k)
-            assert signs.dtype == complex and not signs.flags.writeable
-            assert bits_of_array(signs) == bits_of_array(inner_products._slot_table(n, k)[0].astype(complex))
-        pair = inner_products._pair_signs(5, 2, 4)
-        int8 = inner_products._slot_table(5, 2)[0] * inner_products._slot_table(5, 4)[0]
-        assert not pair.flags.writeable and bits_of_array(pair) == bits_of_array(int8.astype(complex))
-        assert inner_products._signs.cache_parameters()["maxsize"] == inner_products.SIGN_CACHE_ENTRIES
-        assert inner_products._pair_signs.cache_parameters()["maxsize"] == inner_products.PAIR_SIGN_CACHE_ENTRIES
-        assert inner_products.SIGN_CACHE_BYTES_PER_AMP == 16 * (32 + 64)
 
 
 def bits_of_array(values):

@@ -15,7 +15,6 @@ from orbitscope.lie_action import (
     apply_group,
 )
 from orbitscope import orbit_matrix
-from orbitscope.inner_products import _slot_table
 from orbitscope.orbit_matrix import (
     BLOCK_AMPS,
     DEFAULT_TOL,
@@ -43,6 +42,7 @@ from orbitscope.states import (
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
+    multi_index_complement,
     sample_haar_state,
     state_to_json,
     tensor,
@@ -275,9 +275,11 @@ class TestBuildMatrix:
 
 
 def sign_flip_oracle(n, dtype):
-    """(-1)^{i_k} and I -> I_k over all 2^n indices, stacked from the
-    paper checks' per-slot tables (`inner_products._slot_table`)."""
-    signs, flips = zip(*(_slot_table(n, k) for k in range(1, n + 1)))
+    """(-1)^{i_k} and I -> I_k over all 2^n indices, one row per slot k,
+    read off each multi-index's bits and its complement in bit k."""
+    indices = [MultiIndex.from_int(i, n) for i in range(1 << n)]
+    signs = [[1 - 2 * index.bits[k - 1] for index in indices] for k in range(1, n + 1)]
+    flips = [[multi_index_complement(index, k).to_int() for index in indices] for k in range(1, n + 1)]
     return np.array(signs, dtype=np.int64 if dtype == object else dtype), np.array(flips)
 
 
@@ -1079,19 +1081,19 @@ class TestSampleCertificate:
         assert not orbit_matrix._certifies_full_rank(g, rows, tol, 1e16 * cols)
 
     def test_bound_t_is_above_the_trace_of_the_whole_gram(self, monkeypatch):
-        # T = c fl(|psi|^2) 2^-2e (1 + 4 N u) >= c |2^-e psi|^2, summed
-        # exactly in Fractions, from tiny (e just above -500) to huge scales
+        # T = (3n+1) 2^(n+1) exactly, whatever the scale, and T >= c
+        # |2^-e psi|^2, summed exactly in Fractions, from tiny to huge scales
         totals = []
         certify = orbit_matrix._certifies_full_rank
         monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", lambda g, rows, tol, total: totals.append(total) or certify(g, rows, tol, total))
-        for scale in (1.0, 2.0**-480, 1e-140, 1e150, 2.0**500):
+        for scale in (1.0, 1e-300, 2.0**-480, 1e-140, 1e150, 2.0**500):
             psi = PureState(n=10, amps=sample_haar_state(10, 3).amps * scale)
             totals.clear()
             assert factorize(psi)[0] == 31
             e = math.frexp(max(np.abs(psi.amps.real).max(), np.abs(psi.amps.imag).max()))[1]
             parts = np.concatenate([np.ldexp(psi.amps.real, -e), np.ldexp(psi.amps.imag, -e)])
             exact = 31 * sum(Fraction(x) ** 2 for x in parts.tolist())
-            assert len(totals) == 1 and exact <= Fraction(totals[0]) <= exact * (1 + Fraction(1, 10**9))
+            assert totals == [31 * 2**11] and exact <= Fraction(totals[0])
 
     def test_sample_check_passes_the_table(self):
         # the closed forms match the Gram matrix of the rows of S taken from
@@ -1171,14 +1173,17 @@ class TestSampleCertificate:
 
     def test_only_multi_block_float_states_try_the_sample(self, monkeypatch):
         # one-block float states, exact states and the whole-matrix route of
-        # rank_float never build S; a state below 2^-500 skips it
+        # rank_float never build S; a state at 1e-300 is certified by it, and
+        # one whose largest part is subnormal, where 2^-e overflows, skips it
         answers = sample_decisions(monkeypatch)
         factorize(sample_haar_state(9, 1))
         factorize(make_cat(12))
         rank_float(build_matrix(sample_haar_state(11, 1)))
         assert answers == []
         tiny = PureState(n=10, amps=sample_haar_state(10, 1).amps * 1e-300)
-        assert factorize(tiny)[0] == 31 and answers == [False]
+        assert factorize(tiny)[0] == 31 and answers == [True]
+        subnormal = PureState(n=10, amps=sample_haar_state(10, 1).amps * 2.0**-1060)
+        assert factorize(subnormal)[0] == 31 and answers == [True, False]
 
     def test_strided_input_is_stored_contiguous(self):
         # the scale reads the amplitudes as one float64 view, which needs

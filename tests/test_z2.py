@@ -397,6 +397,21 @@ class TestZeroRows:
         with pytest.raises(ValueError, match=rf"^xi\[{index}\] = "):
             zero_rows(xi)
 
+    @pytest.mark.parametrize(
+        "call, xi, index",
+        [
+            (zero_rows, [10**400, 1.0], 0),
+            (zero_rows, [1.0, 10**400], 1),
+            (zero_rows, [Fraction(10**400, 3), 1.0], 0),
+            (zero_rows, [2, 0.5, -(2**1024)], 2),
+            (find_parity_set, [10**400, 1.0], 0),
+        ],
+    )
+    def test_refuses_a_rational_beyond_the_float_range_next_to_a_float(self, call, xi, index):
+        # float(v) would raise OverflowError; the boundary names the index
+        with pytest.raises(ValueError, match=rf"^xi\[{index}\] is too large for a float"):
+            call(xi)
+
     def test_huge_floats_are_scaled_before_summing(self):
         # ||xi||_1 = 3e308 overflows unscaled, and the bound with it
         assert zero_rows([1e308, 1e308, -1e308]) == []
