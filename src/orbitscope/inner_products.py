@@ -78,13 +78,11 @@ def _slot_vectors(psi: PureState, k: int) -> tuple[np.ndarray, ...]:
     flip is copied contiguous, since a reversed view may flatten to a
     negative stride, over which `np.vdot` sums in another order.
     """
-    memo = psi.__dict__.get(_VECTORS)
-    vectors = memo.get(k) if memo else None
+    vectors = psi.__dict__.get(_VECTORS, {}).get(k)
     if vectors is None:
-        c = psi.amps
-        view = c.reshape(1 << (k - 1), 2, -1)
+        view = psi.amps.reshape(1 << (k - 1), 2, -1)
         f = np.ascontiguousarray(view[:, ::-1])
-        vectors = (c, *(v.reshape(-1) for v in (_SIGN * view, f, _SIGN * f)))
+        vectors = (psi.amps, *(v.reshape(-1) for v in (_SIGN * view, f, _SIGN * f)))
         for v in vectors[1:]:
             v.setflags(write=False)
         psi.__dict__.setdefault(_VECTORS, {})[k] = vectors
@@ -146,8 +144,7 @@ def _slot_columns(psi: PureState, k: int) -> np.ndarray:
     bitwise the single-matrix `on_qubit` of its basis matrix, and the whole
     triple bitwise `lie_action.triple_columns`.
     """
-    memo = psi.__dict__.get(_MEMO)
-    cols = memo.get(k) if memo else None
+    cols = psi.__dict__.get(_MEMO, {}).get(k)
     if cols is None:
         cols = on_qubit(SU2_BASIS, psi.amps, k)
         cols.setflags(write=False)

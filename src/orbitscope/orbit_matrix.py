@@ -415,22 +415,24 @@ def _sample_certifies(psi: PureState, e: int, tol: float) -> bool:
     (`_check_sample_gram`); a no draws nothing from g, and the full path
     decides, checking all of M.
 
-    Nothing of the size of psi is read or copied.  The power of two 2^-e
-    brings the largest real or imaginary part to [1/2, 1) (`factorize`),
-    and scales only the rows of S.  Every scaled part is below 1 in
-    magnitude, rounded to a subnormal or not, so |2^-e psi|^2 < 2N for
-    N = 2^n, and T = (3n+1) 2N bounds the trace from the scale alone, with
-    no rounding.  A part rounded to a subnormal moves its entries of M by
-    below 2^-1074, far inside the margin sigma_min > c sqrt(u) sigma_1 >=
-    c sqrt(u) / 2 of a yes.  Only where 2^-e itself overflows (e < -1023, a
-    largest part below 2^-1024) is the full path left to decide.
+    Nothing of the size of psi is copied.  The power of two 2^-e brings
+    the largest real or imaginary part to [1/2, 1) (`factorize`), and
+    scales only the rows of S.  T is c fl(|psi|^2) 2^-2e
+    (1 + 4 N u), N = 2^n: the one `vdot` sums 2N rounded nonnegative
+    squares, within gamma_{2N+1} of the exact sum (Higham, sec. 3.1);
+    underflow loses at most 2N 2^-1075 in all, below N 2^-74 of |psi|^2 >=
+    2^(2e - 2) while e >= -500 (smaller states are left to the full path,
+    and 2^-e stays a normal number); scaled parts that round to subnormals
+    add below 2^-1070 N to |2^-e psi|^2 >= 1/4; and the factor covers these
+    and the three roundings of T for N >= 2^10.
     """
     n, cols, amps = psi.n, 3 * psi.n + 1, psi.amps
-    if e < -1023:
+    if e < -500:
         return False
     scale = 2.0**-e
+    total = cols * (np.vdot(amps, amps).real * scale * scale) * (1 + 4 * (1 << n) * 2.0**-53)
     g = _sample_gram(amps.real, amps.imag, n, scale)
-    if not _certifies_full_rank(g, 2 * _sample_tables(n)[0].size, tol, cols * (2 << n)):
+    if not _certifies_full_rank(g, 2 * _sample_tables(n)[0].size, tol, total):
         return False
     _check_sample_gram(g, amps, n, scale)
     return True
