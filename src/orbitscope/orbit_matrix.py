@@ -36,8 +36,13 @@ GRAM_RTOL = 1e-10
 # amplitudes exactly.
 BLOCK_AMPS = 512
 # Amplitudes per sub-block of the row sample that certifies full rank
-# before the full Gram pass (`_sample_tables`); a power of two.
-SAMPLE_AMPS = 32
+# before the full Gram pass (`_sample_tables`); a power of two.  8 gives
+# 16 (n - 2) rows, about five per column of M.  The certificate's margin,
+# lambda_min of the sample's Gram matrix over its shift, reads about 4e7,
+# 1.5e6, 7e4 and 1e3 for Haar states at n = 10, 13, 16 and 20, and at
+# least 25 for |0...0> plus a small Haar part; 4 thins that to 7, and 2
+# refuses it.
+SAMPLE_AMPS = 8
 
 
 class ExactPathError(TypeError):
@@ -237,7 +242,8 @@ def _certifies_full_rank(g: np.ndarray, rows: int, tol: float, total: float) -> 
     a bound T >= trace(M^T M) known in advance, or trace(g) when M_S = M.
 
     With u = 2**-53, gamma_k = k u / (1 - k u) and c = cols, each entry of g
-    is an inner product of length m = rows, so |g - M_S^T M_S| <= gamma_m
+    is an inner product of length m = rows (2^{n+1} for all of M, 16 (n - 2)
+    for the row sample of `_sample_tables`), so |g - M_S^T M_S| <= gamma_m
     |M_S|^T |M_S| entrywise, whatever the order of summation (Higham,
     Accuracy and Stability of Numerical Algorithms, sec. 3.5), and
     ||g - M_S^T M_S||_2 <= gamma_m trace(M_S^T M_S) <= gamma_m T, up to the
@@ -334,14 +340,15 @@ def _sample_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The amplitude indices S of the row sample of M (`_sample_certifies`)
     and their float64 sign and flip tables (`_sign_flip`).  S is the base
     block [0, b), b = SAMPLE_AMPS, and its image under the flip of each
-    qubit whose bit is >= b, ascending: (n - log2 b + 1) b indices.
+    qubit whose bit is >= b, ascending: (n - log2 b + 1) b = 8 (n - 2)
+    indices, twice as many rows.
 
     A block of consecutive indices would not do: on rows where qubit k's bit
     is fixed, A_k psi = +-i psi = -+(the theta column), so those rows of M
     have rank at most 3n.  In S every qubit's bit takes both values: a low
     qubit's within each sub-block, a high qubit's between the base block and
     its image.  The three arrays are read-only and depend on n alone; one
-    entry holds 8 (2n + 1) |S| bytes, 168 KB at n = 20.
+    entry holds 8 (2n + 1) |S| bytes, 47 KB at n = 20.
     """
     base = np.arange(SAMPLE_AMPS)
     high = 1 << np.arange(SAMPLE_AMPS.bit_length() - 1, n)
@@ -352,25 +359,25 @@ def _sample_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _sample_gram(re: np.ndarray, im: np.ndarray, n: int, scale: float) -> np.ndarray:
+def _sample_gram(re: np.ndarray, im: np.ndarray, n: int, e: int) -> np.ndarray:
     """The Gram matrix of the rows of M for the amplitudes S of
-    `_sample_tables`, M built from re and im times the power of two `scale`.
-    The rows are built from the unscaled parts and scaled in place: the same
-    numbers, since the builder only negates and copies parts."""
+    `_sample_tables`, M built from re and im times 2^-e.  The rows are built
+    from the unscaled parts and scaled in place: the same numbers, since the
+    builder only negates and copies parts."""
     rows, *tables = _sample_tables(n)
     t = np.empty((3 * n + 1, 2, rows.size))
     _build_real(re, im, n, rows, t, tables)
-    t *= scale
-    t = t.reshape(3 * n + 1, -1)
+    t = np.ldexp(t, -e, out=t).reshape(3 * n + 1, -1)
     return t @ t.T
 
 
-def _check_sample_gram(g: np.ndarray, amps: np.ndarray, n: int, scale: float) -> None:
+def _check_sample_gram(g: np.ndarray, amps: np.ndarray, n: int, e: int) -> None:
     """The inner-product table on the rows of M for the amplitudes S of
     `_sample_tables`: their Gram matrix g (`_sample_gram`), against closed
-    forms computed from the amplitudes `amps` themselves.
+    forms computed from the amplitudes `amps` themselves, gathered and
+    signed here and not from the builder's tables.
 
-    With c_I = scale psi_I, s_I = (-1)^{i_k} and every sum over I in S, the
+    With c_I = 2^-e psi_I, s_I = (-1)^{i_k} and every sum over I in S, the
     3 x 3 block of triple k and its entries in the theta row are
         AA = theta theta = N = sum |c_I|^2,  BB = CC = sum |c_{I_k}|^2,
         BC = 0,  AB = Im z,  AC = Re w,
@@ -383,24 +390,27 @@ def _check_sample_gram(g: np.ndarray, amps: np.ndarray, n: int, scale: float) ->
     deviation against GRAM_RTOL times the largest column norm.
     """
     rows = _sample_tables(n)[0]
-    bit = 1 << np.arange(n - 1, -1, -1)[:, None]  # qubit k is bit n - k of the index
-    c = amps[rows] * scale
-    c_flip = amps[rows ^ bit]  # c_{I_k} in row k - 1
-    c_flip *= scale
-    sign = np.where(rows & bit, -1.0, 1.0)
-    mod2 = c.real**2 + c.imag**2
-    parts = c_flip.view(np.float64)
-    norm2, flip2 = mod2.sum(), np.einsum("ki,ki->k", parts, parts)
-    z, w = c_flip @ c.conj(), np.einsum("ki,ki,i->k", sign, c_flip, c.conj())
-    zero = np.zeros(n)
-    expected = np.concatenate([
-        np.column_stack([np.full(n, norm2), flip2, flip2]).ravel(),  # the diagonal
-        np.column_stack([z.imag, w.real, z.imag, zero, w.real, zero]).ravel(),  # AB AC BA BC CA CB
-        np.column_stack([-(sign @ mod2), -w.imag, -z.real]).ravel(),  # the theta row
-        [norm2],
-    ])
-    got = np.concatenate([g.take(_triple_block_index(3 * n + 1)), g[-1]])
-    if not np.abs(got - expected).max() <= GRAM_RTOL * max(norm2, flip2.max()):
+    # qubit k is bit n - k of the index; the last row flips no bit
+    flip = rows ^ (1 << np.arange(n, -1, -1)[:, None] >> 1)
+    c = amps[flip]  # c_{I_k} in row k - 1, c_I in row n
+    parts = c.view(np.float64)
+    np.ldexp(parts, -e, out=parts)
+    sq = np.einsum("ki,ki->k", parts, parts)  # sum |c_{I_k}|^2 for each k, then N
+    # q[k, j] = sum s_I conj(c_I) c_{I_k} with s_I = (-1)^{i_j}, -1 where the
+    # flip of qubit j clears its bit, and 1 for j = n
+    conj = c[-1].conj()
+    q = c @ np.where(flip < rows, -conj, conj).T
+    z, w, flip2, zero = q[:-1, -1], q.diagonal()[:-1], sq[:-1], np.zeros(n)
+    expected = np.array([  # the 3 x 3 block of triple k, by rows, then its theta-row entries negated
+        np.full(n, sq[-1]), z.imag, w.real,
+        z.imag, flip2, zero,
+        w.real, zero, flip2,
+        q[-1, :-1].real, w.imag, z.real,
+    ]).T
+    block = np.einsum("kikj->kij", g[:-1, :-1].reshape(n, 3, n, 3)).reshape(n, 9)
+    got = np.concatenate([block, -g[-1, :-1].reshape(n, 3)], axis=1)
+    bound = GRAM_RTOL * sq.max()
+    if not (np.abs(got - expected).max() <= bound and abs(g[-1, -1] - sq[-1]) <= bound):
         raise AssertionError("Gram matrix breaks the inner-product table on the row sample")
 
 
@@ -417,24 +427,33 @@ def _sample_certifies(psi: PureState, e: int, tol: float) -> bool:
 
     Nothing of the size of psi is copied.  The power of two 2^-e brings
     the largest real or imaginary part to [1/2, 1) (`factorize`), and
-    scales only the rows of S.  T is c fl(|psi|^2) 2^-2e
-    (1 + 4 N u), N = 2^n: the one `vdot` sums 2N rounded nonnegative
-    squares, within gamma_{2N+1} of the exact sum (Higham, sec. 3.1);
-    underflow loses at most 2N 2^-1075 in all, below N 2^-74 of |psi|^2 >=
-    2^(2e - 2) while e >= -500 (smaller states are left to the full path,
-    and 2^-e stays a normal number); scaled parts that round to subnormals
-    add below 2^-1070 N to |2^-e psi|^2 >= 1/4; and the factor covers these
-    and the three roundings of T for N >= 2^10.
+    scales only the rows of S.  T is c fl(|2^-e psi|^2) (1 + 4 N u),
+    N = 2^n, from a sum of the 2N rounded nonnegative squares of the parts,
+    within gamma_{2N+1} of the exact sum in any order of summation (Higham,
+    sec. 3.1).  While e >= -500 the sum is one `vdot` of psi, times 2^-e
+    twice: underflow loses at most 2N 2^-1075 in all, below N 2^-74 of
+    |psi|^2 >= 2^(2e - 2).  Below that |psi|^2 itself may underflow, so the
+    parts are first scaled by 2^-e, exactly, in chunks of 2^14 amplitudes,
+    and the chunks' `vdot`s added: the same squares summed in another
+    order, where underflow loses below N 2^-1074 of |2^-e psi|^2 >= 1/4.
+    Scaled parts that round to subnormals (e > 0) add below 2^-1070 N; and
+    the factor covers these and the three roundings of T for N >= 2^10.
     """
-    n, cols, amps = psi.n, 3 * psi.n + 1, psi.amps
-    if e < -500:
-        return False
-    scale = 2.0**-e
-    total = cols * (np.vdot(amps, amps).real * scale * scale) * (1 + 4 * (1 << n) * 2.0**-53)
-    g = _sample_gram(amps.real, amps.imag, n, scale)
+    n, amps = psi.n, psi.amps
+    if e >= -500:
+        norm2 = np.vdot(amps, amps).real * 2.0**-e * 2.0**-e
+    else:
+        parts, step = amps.view(np.float64), 2 << 14  # 2^14 amplitudes
+        # 2^n amplitudes: every chunk fills the one buffer exactly
+        chunk, norm2 = np.empty(min(step, parts.size)), 0.0
+        for lo in range(0, parts.size, step):
+            x = np.ldexp(parts[lo : lo + step], -e, out=chunk)
+            norm2 += np.vdot(x, x)
+    total = (3 * n + 1) * norm2 * (1 + 4 * (1 << n) * 2.0**-53)
+    g = _sample_gram(amps.real, amps.imag, n, e)
     if not _certifies_full_rank(g, 2 * _sample_tables(n)[0].size, tol, total):
         return False
-    _check_sample_gram(g, amps, n, scale)
+    _check_sample_gram(g, amps, n, e)
     return True
 
 

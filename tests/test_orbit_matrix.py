@@ -1019,12 +1019,12 @@ class TestRankCertificate:
 
 def sample_gram(psi):
     """The Gram matrix of the rows of M for the sample S, taken from the
-    whole M, with the certificate's scale, and that scale."""
+    whole M, with the certificate's scale 2^-e, and e."""
     e = math.frexp(max(np.abs(psi.amps.real).max(), np.abs(psi.amps.imag).max()))[1]
     rows = orbit_matrix._sample_tables(psi.n)[0]
     m_s = build_matrix(PureState(n=psi.n, amps=psi.amps * 2.0**-e)).data.reshape(1 << psi.n, 2, -1)[rows]
     m_s = m_s.reshape(2 * rows.size, -1)
-    return m_s.T @ m_s, 2.0**-e
+    return m_s.T @ m_s, e
 
 
 def sample_decisions(monkeypatch):
@@ -1081,12 +1081,13 @@ class TestSampleCertificate:
         assert not orbit_matrix._certifies_full_rank(g, rows, tol, 1e16 * cols)
 
     def test_bound_t_is_above_the_trace_of_the_whole_gram(self, monkeypatch):
-        # T = c fl(|psi|^2) 2^-2e (1 + 4 N u) >= c |2^-e psi|^2, summed
-        # exactly in Fractions, from tiny (e just above -500) to huge scales
+        # T = c fl(|2^-e psi|^2) (1 + 4 N u) >= c |2^-e psi|^2, summed
+        # exactly in Fractions, from tiny (e just above -500, and below it,
+        # where the parts are scaled before they are squared) to huge scales
         totals = []
         certify = orbit_matrix._certifies_full_rank
         monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", lambda g, rows, tol, total: totals.append(total) or certify(g, rows, tol, total))
-        for scale in (1.0, 2.0**-480, 1e-140, 1e150, 2.0**500):
+        for scale in (1.0, 2.0**-480, 1e-140, 1e-160, 1e-300, 1e150, 2.0**500):
             psi = PureState(n=10, amps=sample_haar_state(10, 3).amps * scale)
             totals.clear()
             assert factorize(psi)[0] == 31
@@ -1102,8 +1103,8 @@ class TestSampleCertificate:
         states = [sample_haar_state(n, 80 + n) for n in range(10, 14)]
         states += [apply_group(random_local_unitary(2 * k, rng), make_singlet_product(k)) for k in (5, 6)]
         for psi in states:
-            g, scale = sample_gram(psi)
-            orbit_matrix._check_sample_gram(g, psi.amps, psi.n, scale)
+            g, e = sample_gram(psi)
+            orbit_matrix._check_sample_gram(g, psi.amps, psi.n, e)
 
     def test_sample_check_on_every_row_is_the_table(self, monkeypatch):
         # with S = every amplitude the closed forms reduce to the table
@@ -1117,7 +1118,7 @@ class TestSampleCertificate:
             data = build_matrix(psi).data
             good = data.T @ data
             cols = 3 * n + 1
-            orbit_matrix._check_sample_gram(good, psi.amps, n, 1.0)
+            orbit_matrix._check_sample_gram(good, psi.amps, n, 0)
             orbit_matrix._check_gram(good, orbit_matrix.GRAM_RTOL)
             spots = [(i, i) for i in range(cols)] + [(cols - 1, j) for j in range(cols)]
             spots += [(a + i, a + j) for a in range(0, 3 * n, 3) for i, j in itertools.permutations(range(3), 2)]
@@ -1125,7 +1126,7 @@ class TestSampleCertificate:
                 bad = good.copy()
                 bad[i, j] += 1e-8 * good[-1, -1]
                 with pytest.raises(AssertionError, match="inner-product table"):
-                    orbit_matrix._check_sample_gram(bad, psi.amps, n, 1.0)
+                    orbit_matrix._check_sample_gram(bad, psi.amps, n, 0)
 
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize("col", ["B high", "C high", "A low", "C low", "theta"])
@@ -1173,14 +1174,14 @@ class TestSampleCertificate:
 
     def test_only_multi_block_float_states_try_the_sample(self, monkeypatch):
         # one-block float states, exact states and the whole-matrix route of
-        # rank_float never build S; a state below 2^-500 skips it
+        # rank_float never build S; a state below 2^-500 tries it too
         answers = sample_decisions(monkeypatch)
         factorize(sample_haar_state(9, 1))
         factorize(make_cat(12))
         rank_float(build_matrix(sample_haar_state(11, 1)))
         assert answers == []
         tiny = PureState(n=10, amps=sample_haar_state(10, 1).amps * 1e-300)
-        assert factorize(tiny)[0] == 31 and answers == [False]
+        assert factorize(tiny)[0] == 31 and answers == [True]
 
     @pytest.mark.parametrize("n, eps", [(10, 1e-5), (12, 1e-4), (16, 1e-3)])
     def test_skewed_full_rank_states_are_certified_by_the_sample(self, monkeypatch, n, eps):
@@ -1192,6 +1193,47 @@ class TestSampleCertificate:
         amps[0] += 1.0
         assert factorize(PureState(n=n, amps=amps))[0] == 3 * n + 1
         assert answers == [True]
+
+    def test_haar_states_are_decided_by_the_sample(self, monkeypatch):
+        # 20 Haar states at each n = 10..16, the bench's n = 12 and 13
+        # among them: the sample of 16 (n - 2) rows says yes to every one
+        answers = sample_decisions(monkeypatch)
+        for n in range(10, 17):
+            for seed in range(1, 21):
+                assert factorize(sample_haar_state(n, seed))[0] == 3 * n + 1
+        assert answers == [True] * 140
+
+    def test_sample_certificate_margin(self, monkeypatch):
+        # lambda_min of the sample's Gram matrix is at least 10 times the
+        # certificate's shift for the skewed states above and a Haar state
+        # at n = 20; a sample of b = 4 amplitudes per sub-block leaves the
+        # n = 10 skewed state about 7, so a thinner sample shows here
+        seen = []
+        certify = orbit_matrix._certifies_full_rank
+        monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", lambda *args: seen.append(args) or certify(*args))
+        states = [sample_haar_state(20, 1)]
+        for n, eps in ((10, 1e-5), (12, 1e-4), (16, 1e-3)):
+            amps = sample_haar_state(n, 1).amps * eps
+            amps[0] += 1.0
+            states.append(PureState(n=n, amps=amps))
+        for psi in states:
+            seen.clear()
+            assert factorize(psi)[0] == 3 * psi.n + 1 and len(seen) == 1
+            g, rows, tol, total = seen[0]
+            assert np.linalg.eigvalsh(g)[0] >= 10 * certificate_shift(g, rows, tol, total)
+
+    def test_sample_check_gathers_its_own_flips(self, monkeypatch):
+        # the builder given the flips of the next qubit builds rows that
+        # still have full rank; the check, which gathers the flips from the
+        # amplitudes itself, refuses them
+        rows, sign, flip = orbit_matrix._sample_tables(12)
+        monkeypatch.setattr(orbit_matrix, "_sample_tables", lambda n: (rows, sign, np.roll(flip, -1, axis=0)))
+        certify = orbit_matrix._certifies_full_rank
+        said = []
+        monkeypatch.setattr(orbit_matrix, "_certifies_full_rank", lambda *args: said.append(certify(*args)) or said[-1])
+        with pytest.raises(AssertionError, match="inner-product table on the row sample"):
+            factorize(sample_haar_state(12, 1))
+        assert said == [True]
 
     def test_strided_input_is_stored_contiguous(self):
         # the scale reads the amplitudes as one float64 view, which needs
@@ -1212,16 +1254,18 @@ class TestSampleCertificate:
 
     def test_certified_analysis_copies_nothing_of_psi(self):
         # tracing from after psi is built: the scale, T, the rows of S, their
-        # Gram matrix and the check stay far below psi's 16 MiB at n = 20
-        psi = sample_haar_state(20, 1)
-        tracemalloc.start()
-        try:
-            rank, kernel = factorize(psi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rank == 61 and kernel.shape == (0, 61)
-        assert peak < 1 << 20
+        # Gram matrix and the check stay below psi's 128 KiB at n = 13, and
+        # far below its 16 MiB at n = 20
+        for n, bound in ((13, 128 << 10), (20, 320 << 10)):
+            psi = sample_haar_state(n, 1)
+            tracemalloc.start()
+            try:
+                rank, kernel = factorize(psi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rank == 3 * n + 1 and kernel.shape == (0, 3 * n + 1)
+            assert peak < bound, (n, peak)
 
 
 class TestVerifyIsotropy:
