@@ -9,8 +9,6 @@ from .states import (
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
-    multi_index_complement,
-    multi_index_double_complement,
     sample_haar_state,
     state_from_json,
     state_to_json,
@@ -25,7 +23,6 @@ from .lie_action import (
     apply_group,
     random_local_unitary,
     random_su2,
-    su2_exp,
     triple_columns,
 )
 from .orbit_matrix import (
@@ -51,7 +48,6 @@ from .z2 import (
     Z2Matrix,
     Z2Witness,
     find_parity_set,
-    partition_parity_classes,
     solve_sign_kernel,
     zero_rows,
 )

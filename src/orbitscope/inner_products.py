@@ -12,7 +12,6 @@ single-operator forms omit a factor -i relative to the matrix column
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -223,23 +222,6 @@ class OrthogonalityReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "hypothesis_residual": self.hypothesis_residual,
-                "checks": [
-                    {
-                        "pair": c.pair,
-                        "value_re": c.value_re,
-                        "value_im": c.value_im,
-                        "pass": c.passed,
-                    }
-                    for c in self.checks
-                ],
-            }
-        )
 
 
 def _label_name(label) -> str:

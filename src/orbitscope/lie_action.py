@@ -115,20 +115,6 @@ class LocalUnitary:
     def n(self) -> int:
         return len(self.factors)
 
-    @classmethod
-    def identity(cls, n: int) -> "LocalUnitary":
-        return cls(tuple(SU2GroupElement.identity() for _ in range(n)))
-
-
-def su2_exp(coords: Su2Coordinates) -> SU2GroupElement:
-    """exp(t*A + r*B + s*C) in closed form: cos(theta) I + sinc(theta) X."""
-    t, r, s = float(coords.t), float(coords.r), float(coords.s)
-    theta = np.sqrt(t * t + r * r + s * s)
-    if theta == 0:
-        return SU2GroupElement.identity()
-    x = coords.matrix()
-    return SU2GroupElement(np.cos(theta) * np.eye(2) + (np.sin(theta) / theta) * x)
-
 
 def random_su2(rng: np.random.Generator) -> SU2GroupElement:
     """Haar-uniform SU(2) element via a normalized Gaussian quaternion."""

@@ -66,15 +66,6 @@ class SO3Rotation:
         r.setflags(write=False)
         object.__setattr__(self, "matrix", r)
 
-    def apply_su2(self, x: np.ndarray) -> np.ndarray:
-        """Image of a 2x2 su(2) matrix under the rotation of coordinates."""
-        return ((self.matrix @ su2_coordinates(x)) @ _BASIS_ROWS).reshape(2, 2)
-
-
-def su2_coordinates(x: np.ndarray) -> np.ndarray:
-    """(t, r, s) with x = t A + r B + s C."""
-    return np.array([x[0, 0].imag, x[0, 1].real, x[0, 1].imag])
-
 
 def so3_from_frame(first, second=None) -> SO3Rotation:
     """Rotation sending e_A to `first` and, when given, e_C to `second`.

@@ -2,7 +2,10 @@
 
 Bit-order contract: for a multi-index I = (i_1, ..., i_n), bit 1 is the most
 significant bit of the storage index, so the amplitude of |i_1 i_2 ... i_n>
-lives at storage position sum_k i_k * 2**(n-k).
+lives at storage position sum_k i_k * 2**(n-k).  The paper's complements
+are bit flips of that position: I_k flips i_k, which is storage bit n - k, so
+the amplitude of I_k is at position ^ 1 << (n - k); I_{kl}, for k < l, flips
+both i_k and i_l.
 """
 
 from __future__ import annotations
@@ -53,22 +56,6 @@ class MultiIndex:
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-
-def multi_index_complement(index: MultiIndex, k: int) -> MultiIndex:
-    """Flip bit k (1-based) of the multi-index."""
-    if not 1 <= k <= index.n:
-        raise ValueError(f"bit position k={k} out of range 1..{index.n}")
-    bits = list(index.bits)
-    bits[k - 1] ^= 1
-    return MultiIndex(tuple(bits))
-
-
-def multi_index_double_complement(index: MultiIndex, k: int, l: int) -> MultiIndex:
-    """Flip bits k and l (1-based, k < l) of the multi-index."""
-    if not 1 <= k < l <= index.n:
-        raise ValueError(f"need 1 <= k < l <= n, got k={k}, l={l}, n={index.n}")
-    return multi_index_complement(multi_index_complement(index, k), l)
 
 
 # Exact numerators are held as int64 only below this magnitude, so that they
@@ -174,11 +161,6 @@ class PureState:
         return self.num is not None
 
     @classmethod
-    def from_amplitudes(cls, amps: Sequence[complex]) -> "PureState":
-        amps = np.asarray(amps, dtype=complex)
-        return cls(n=_qubit_count(len(amps)), amps=amps)
-
-    @classmethod
     def from_exact(cls, exact: Sequence[tuple[Fraction, Fraction]]) -> "PureState":
         """An exact state from (Fraction, Fraction) pairs, rescaled to integers."""
         n = _qubit_count(len(exact))
@@ -191,9 +173,6 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, index: MultiIndex) -> complex:
-        return complex(self.amps[index.to_int()])
 
 
 def _sparse_state(n: int, entries: dict[int, int]) -> PureState:

@@ -1,5 +1,5 @@
 """GF(2) sign-matrix machinery: kernel/ones-preimage witnesses, zero rows of
-the diagonal sign-sum matrix, parity sets, and parity-class partitions.
+the diagonal sign-sum matrix, and parity sets.
 
 Given reals xi_1..xi_m, the sign patterns r whose sums
 sum_i (-1)^{r_i} xi_i vanish are found by meeting in the middle (Horowitz and
@@ -10,7 +10,10 @@ C(m, m/2) rows; neither the 2^m sums nor the 2^m x 2^m diagonal matrix is
 ever formed.  Stacking the zero rows r into a 0/1 matrix L, the
 corresponding +-1 matrix E kills xi, so L either has a nontrivial GF(2)
 kernel or maps some v to the all-ones vector; the support of v is the
-parity set.
+parity set K.  Read as a set of qubit slots, K splits the n-bit
+multi-indices I = (i_1, ..., i_n) by their parity sum_{k in K} i_k mod 2:
+the class P holds the 2^{n-1} of them whose parity is the witness's (0 for a
+kernel vector, 1 for a ones-preimage), and P' the 2^{n-1} others.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .orbit_matrix import exact_rank_kernel
-from .states import MultiIndex
 
 ENUMERATION_CAP = 24
 DEFAULT_ZERO_TOL = 1e-9
@@ -132,16 +134,6 @@ def _kernel_and_ones(matrix: Z2Matrix) -> tuple[list[int], Optional[int]]:
 
     basis = [solve(fc) | 1 << fc for fc in range(m) if fc not in pivots]
     return basis, None if pivots and pivots[-1] == m else solve(m)
-
-
-def gf2_kernel_basis(matrix: Z2Matrix) -> list[int]:
-    """Basis of ker L over GF(2), one bitmask per free column."""
-    return _kernel_and_ones(matrix)[0]
-
-
-def gf2_solve_ones(matrix: Z2Matrix) -> Optional[int]:
-    """A v with L v = (1,...,1) over GF(2), or None if inconsistent."""
-    return _kernel_and_ones(matrix)[1]
 
 
 def solve_sign_kernel(matrix: Z2Matrix) -> Z2Witness:
@@ -286,25 +278,3 @@ def find_parity_set(xi: Sequence, tol: float = DEFAULT_ZERO_TOL) -> Z2Witness:
             f"parity not constant over zero rows: {parities}"
         )
     return witness
-
-
-def partition_parity_classes(
-    n: int, slots: Sequence[int], parity: int
-) -> tuple[list[MultiIndex], list[MultiIndex]]:
-    """Split all n-bit multi-indices by the parity of their bits in `slots`.
-
-    Returns (P, P') with P the class matching `parity`; both halves have
-    exactly 2^{n-1} members.
-    """
-    slots = sorted(set(slots))
-    if not slots:
-        raise ValueError("slot subset must be nonempty")
-    if slots[0] < 1 or slots[-1] > n:
-        raise ValueError(f"slots must lie in 1..{n}")
-    in_class: list[MultiIndex] = []
-    out_class: list[MultiIndex] = []
-    for idx in range(1 << n):
-        index = MultiIndex.from_int(idx, n)
-        p = sum(index.bits[k - 1] for k in slots) % 2
-        (in_class if p == parity else out_class).append(index)
-    return in_class, out_class

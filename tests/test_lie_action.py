@@ -20,7 +20,6 @@ from orbitscope.lie_action import (
     on_qubit,
     random_local_unitary,
     random_su2,
-    su2_exp,
     triple_columns,
     triple_columns_exact,
 )
@@ -34,6 +33,8 @@ from orbitscope.states import (
     make_singlet_product_plus_zero,
     sample_haar_state,
 )
+
+from paper_oracles import su2_exp
 
 real = st.floats(-2, 2, allow_nan=False)
 
@@ -298,7 +299,7 @@ class TestOnQubit:
 class TestApplyGroup:
     def test_identity(self):
         psi = sample_haar_state(3, 4)
-        out = apply_group(LocalUnitary.identity(3), psi)
+        out = apply_group(LocalUnitary((SU2GroupElement.identity(),) * 3), psi)
         assert np.array_equal(out.amps, psi.amps)
 
     def test_norm_preserved(self):

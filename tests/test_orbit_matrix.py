@@ -42,11 +42,12 @@ from orbitscope.states import (
     make_cat,
     make_singlet_product,
     make_singlet_product_plus_zero,
-    multi_index_complement,
     sample_haar_state,
     state_to_json,
     tensor,
 )
+
+from paper_oracles import multi_index_complement
 
 
 def exact_pairs(psi: PureState) -> tuple:

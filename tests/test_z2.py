@@ -18,9 +18,6 @@ from orbitscope.z2 import (
     Z2Matrix,
     Z2Witness,
     find_parity_set,
-    gf2_kernel_basis,
-    gf2_solve_ones,
-    partition_parity_classes,
     solve_sign_kernel,
     zero_rows,
 )
@@ -88,7 +85,7 @@ class TestKernelAndOnes:
             nrows = int(rng.integers(1, 7))
             ncols = int(rng.integers(1, 8))
             m = random_matrix(rng, nrows, ncols)
-            basis = gf2_kernel_basis(m)
+            basis = z2._kernel_and_ones(m)[0]
             # basis vectors are independent and span exactly the brute kernel
             spanned = {0}
             for b in basis:
@@ -103,7 +100,7 @@ class TestKernelAndOnes:
             ncols = int(rng.integers(1, 8))
             m = random_matrix(rng, nrows, ncols)
             preimages = brute_ones_preimages(m)
-            got = gf2_solve_ones(m)
+            got = z2._kernel_and_ones(m)[1]
             if preimages:
                 assert got in preimages
             else:
@@ -272,8 +269,7 @@ class TestAgainstTwoEliminations:
                 for rows in itertools.product(range(1 << ncols), repeat=nrows):
                     matrix = Z2Matrix(rows=rows, ncols=ncols)
                     witness, kernel, ones = two_elimination_witness(matrix)
-                    assert gf2_kernel_basis(matrix) == kernel, matrix
-                    assert gf2_solve_ones(matrix) == ones, matrix
+                    assert z2._kernel_and_ones(matrix) == (kernel, ones), matrix
                     got = witness_or_refusal(matrix)
                     assert same_outcome(got, witness), (matrix, got, witness)
                     kinds.add(type(got).__name__ if isinstance(got, Exception) else got.kind)
@@ -473,26 +469,3 @@ class TestFindParitySet:
         assert len(w.parity_set) > 0
         for row in zero_rows(xi):
             assert sum(row[k - 1] for k in w.parity_set) % 2 == w.parity
-
-
-class TestPartitionParityClasses:
-    def test_halves(self):
-        for n in range(1, 6):
-            p, p_prime = partition_parity_classes(n, [1], 0)
-            assert len(p) == len(p_prime) == 1 << (n - 1)
-            assert all(idx.bits[0] == 0 for idx in p)
-            assert all(idx.bits[0] == 1 for idx in p_prime)
-
-    def test_parity_membership(self):
-        slots = [1, 3]
-        p, p_prime = partition_parity_classes(3, slots, 1)
-        for idx in p:
-            assert (idx.bits[0] + idx.bits[2]) % 2 == 1
-        for idx in p_prime:
-            assert (idx.bits[0] + idx.bits[2]) % 2 == 0
-
-    def test_slot_validation(self):
-        with pytest.raises(ValueError):
-            partition_parity_classes(3, [], 0)
-        with pytest.raises(ValueError):
-            partition_parity_classes(3, [4], 0)
