@@ -41,11 +41,11 @@ def main():
           f"= {np.linalg.norm(post):.2e}")
     report = orthogonality_report(psi_adj, "main", slots=slots, xi=[1.0, 1.0])
     print(f"main report: parity slots {sorted(report.parity_slots)}, "
-          f"{len(report.checks)} checks, all pass: {report.all_pass}")
+          f"{report.values.size} checks, all pass: {report.all_pass}")
 
     u2, psi_two = adjust_two_common(psi, *slots)
     report2 = orthogonality_report(psi_two, "two-common", l=slots[0], lp=slots[1])
-    print(f"two-common report: {len(report2.checks)} checks, "
+    print(f"two-common report: {report2.values.size} checks, "
           f"all pass: {report2.all_pass}")
     print(f"orbit dim preserved: {orbit_dimension(psi_adj)} == {orbit_dimension(psi)}")
 

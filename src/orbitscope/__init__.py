@@ -1,5 +1,7 @@
 """Local-unitary orbit dimensions and isotropy algebras for n-qubit states."""
 
+from types import ModuleType as _ModuleType
+
 from .states import (
     MultiIndex,
     PureState,
@@ -60,5 +62,8 @@ from .lu_adjust import (
     triple_span_dim,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds here
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 __version__ = "0.1.0"

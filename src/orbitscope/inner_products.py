@@ -12,7 +12,7 @@ single-operator forms omit a factor -i relative to the matrix column
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -204,92 +204,61 @@ def real_dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u.real, v.real) + np.dot(u.imag, v.imag))
 
 
-@dataclass(frozen=True)
-class OrthogonalityCheck:
-    pair: str
-    value_re: float
-    value_im: float
-    passed: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalityReport:
+    """One block of the column Gram matrix: `values[i, j]` is
+    <rows[i]|cols[j]>, read-only, for columns named like "B3" or "-i|psi>".
+    Row-major, its entries are the report's checks; check (i, j), named
+    f"{rows[i]}.{cols[j]}", passes when |Re values[i, j]| <= tolerance."""
+
     scenario: str
     hypothesis_residual: float
-    checks: tuple[OrthogonalityCheck, ...]
-    parity_slots: Optional[frozenset[int]] = field(default=None)
+    rows: tuple[str, ...]
+    cols: tuple[str, ...]
+    values: np.ndarray
+    tolerance: float
+    parity_slots: Optional[frozenset[int]] = None
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every check passes but a self-pair, which is not tested; a NaN fails."""
+        self_pairs = np.array(self.rows, dtype=str)[:, None] == np.array(self.cols, dtype=str)
+        return bool(np.all(self_pairs | (np.abs(self.values.real) <= self.tolerance)))
 
 
-def _label_name(label) -> str:
-    if label == "minus_i_psi":
-        return "-i|psi>"
-    op, slot = label
-    return f"{op}{slot}"
+def _run_checks(psi, slots, rows, cols) -> np.ndarray:
+    """Rows `rows` and columns `cols` of the complex Gram matrix of the
+    triples of `slots`, then -i|psi>, read-only: one product of the rows
+    against every column, then a slice of its columns.
 
-
-def _run_checks(psi, pairs, tol_abs) -> tuple[OrthogonalityCheck, ...]:
-    """One check per (left, right) label pair, read off one complex Gram
-    block: the rows of the left labels against every column, the triple of
-    each slot the pairs name, then -i|psi>.  Its real part is the real dot
-    product of the columns.
-
-    The block's entries are the whole Gram matrix's, bit for bit: both are
-    matrix products, and BLAS sums each entry in the same order whatever
-    the row count (a test holds the reports to the whole matrix).  A single
-    left row would take numpy's vector product, which sums in another
-    order, but every scenario names at least two left labels."""
-    slots = sorted({label[1] for pair in pairs for label in pair if label != "minus_i_psi"})
-    index = {(op, k): 3 * i + j for i, k in enumerate(slots) for j, op in enumerate("ABC")}
-    index["minus_i_psi"] = 3 * len(slots)
-    cols = np.concatenate([_slot_columns(psi, k) for k in slots] + [-1j * psi.amps[None]])
-    lefts = sorted({index[left] for left, _ in pairs})
-    block = cols[lefts].conj() @ cols.T
-    row = {col: i for i, col in enumerate(lefts)}
-    values = block[[row[index[left]] for left, _ in pairs], [index[right] for _, right in pairs]]
-    passed = (np.abs(values.real) <= tol_abs).tolist()
-    names = {label: _label_name(label) for label in index}
-    return tuple(
-        OrthogonalityCheck(f"{names[left]}.{names[right]}", re, im, ok)
-        for (left, right), re, im, ok in zip(
-            pairs, values.real.tolist(), values.imag.tolist(), passed
-        )
-    )
-
-
-def _off_k_pairs(n: int, big_k: frozenset, ops: str) -> list:
-    """The label pairs a scenario checks, in report order: for each slot k
-    in K and each op in `ops`, op_k against -i|psi>, then against the
-    A, B and C columns of every slot outside K."""
-    pairs = []
-    for k in sorted(big_k):
-        for op in ops:
-            pairs.append(((op, k), "minus_i_psi"))
-            pairs += [((op, k), (op_j, j)) for j in range(1, n + 1) if j not in big_k for op_j in "ABC"]
-    return pairs
+    Its entries are the whole Gram matrix's, bit for bit: BLAS sums each
+    entry of a matrix product in the same order whatever the row count (a
+    test holds the reports to the whole matrix).  One row, or fewer
+    columns, would take another kernel and change bits."""
+    columns = np.concatenate([_slot_columns(psi, k) for k in slots] + [-1j * psi.amps[None]])
+    values = (columns[rows].conj() @ columns.T)[:, cols]
+    values.setflags(write=False)
+    return values
 
 
 def orthogonality_report(psi: PureState, scenario: str, **params) -> OrthogonalityReport:
     """Executable checks for the orthogonality propositions.
 
     Scenarios:
-      "triple"      params: k.  The three intra-triple real dot products.
+      "triple"      params: k.  Rows A_k, B_k against columns B_k, C_k: the
+                    three intra-triple real dot products and a self-pair.
       "main"        params: slots, xi.  Hypothesis sum_i xi_i A_{j_i}|psi> = 0;
-                    lists B_k, C_k against -i|psi> and the off-K triples.
+                    rows B_k, C_k for k in K against -i|psi> and the off-K triples.
       "two-common"  params: l, lp.  Hypothesis A_l|psi> = A_lp|psi> and
-                    C_l|psi> = C_lp|psi>; additionally lists the A_k products.
+                    C_l|psi> = C_lp|psi>; rows A_k, B_k, C_k.
     """
     scenario = scenario.replace("_", "-")
     norm_sq = psi.norm() ** 2
-    tol_abs = CONCLUSION_RTOL * norm_sq
     if scenario == "triple":
         k = params["k"]
-        pairs = [(("A", k), ("B", k)), (("A", k), ("C", k)), (("B", k), ("C", k))]
-        checks = _run_checks(psi, pairs, HYPOTHESIS_RTOL * norm_sq)
-        return OrthogonalityReport("triple", 0.0, checks)
+        values = _run_checks(psi, [k], [0, 1], [1, 2])
+        rows, cols = (f"A{k}", f"B{k}"), (f"B{k}", f"C{k}")
+        return OrthogonalityReport("triple", 0.0, rows, cols, values, HYPOTHESIS_RTOL * norm_sq)
 
     if scenario == "main":
         slots = list(params["slots"])
@@ -307,11 +276,8 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
                 "sum xi_i A_{j_i}|psi> does not vanish", residual
             )
         witness = find_parity_set(xi)
-        big_k = frozenset(slots[i - 1] for i in witness.parity_set)
-        checks = _run_checks(psi, _off_k_pairs(psi.n, big_k, "BC"), tol_abs)
-        return OrthogonalityReport("main", residual, checks, parity_slots=big_k)
-
-    if scenario == "two-common":
+        big_k, ops = frozenset(slots[i - 1] for i in witness.parity_set), "BC"
+    elif scenario == "two-common":
         l, lp = params["l"], params["lp"]
         if l == lp:
             raise ValueError(f"slots l and lp must differ, got {l} twice")
@@ -321,8 +287,16 @@ def orthogonality_report(psi: PureState, scenario: str, **params) -> Orthogonali
             raise HypothesisViolationError(
                 "A and C columns of the two slots do not coincide", residual
             )
-        big_k = frozenset((l, lp))
-        checks = _run_checks(psi, _off_k_pairs(psi.n, big_k, "ABC"), tol_abs)
-        return OrthogonalityReport("two-common", residual, checks, parity_slots=big_k)
+        big_k, ops = frozenset((l, lp)), "ABC"
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
 
-    raise ValueError(f"unknown scenario {scenario!r}")
+    n = psi.n
+    rows = [(op, k) for k in sorted(big_k) for op in ops]
+    cols = [(op, j) for j in range(1, n + 1) if j not in big_k for op in "ABC"]
+    # the triples of all n slots, then -i|psi>: (op, j) is column 3(j - 1) + _ROW[op]
+    at = [[3 * j - 3 + _ROW[op] for op, j in labels] for labels in (rows, cols)]
+    values = _run_checks(psi, range(1, n + 1), at[0], [3 * n] + at[1])
+    rows, cols = [tuple(f"{op}{j}" for op, j in labels) for labels in (rows, cols)]
+    tolerance = CONCLUSION_RTOL * norm_sq
+    return OrthogonalityReport(scenario, residual, rows, ("-i|psi>",) + cols, values, tolerance, big_k)

@@ -48,12 +48,6 @@ class MultiIndex:
             v = (v << 1) | b
         return v
 
-    @classmethod
-    def from_int(cls, idx: int, n: int) -> "MultiIndex":
-        if not 0 <= idx < (1 << n):
-            raise ValueError(f"index {idx} out of range for n={n}")
-        return cls(tuple((idx >> (n - k)) & 1 for k in range(1, n + 1)))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 

@@ -68,11 +68,6 @@ class Z2Matrix:
             masks.append(sum(b << j for j, b in enumerate(row)))
         return cls(rows=tuple(masks), ncols=ncols)
 
-    def bit_rows(self) -> list[tuple[int, ...]]:
-        return [
-            tuple((r >> j) & 1 for j in range(self.ncols)) for r in self.rows
-        ]
-
     def apply(self, v_mask: int) -> tuple[int, ...]:
         """L v over GF(2), for v given as a bitmask."""
         return tuple(bin(r & v_mask).count("1") & 1 for r in self.rows)

@@ -4,6 +4,7 @@ The package works on storage indices and coordinate arrays directly; these
 helpers restate the paper's objects one at a time, so that a test can
 compare the package's vectorised results against them:
 
+- the multi-index of a storage index, and the bit rows of a GF(2) matrix;
 - I_k and I_{kl}, the complements of a multi-index in one or two bits;
 - exp of an su(2) element, in closed form;
 - the coordinates (t, r, s) of an su(2) matrix in the basis (A, B, C).
@@ -13,6 +14,19 @@ import numpy as np
 
 from orbitscope.lie_action import SU2GroupElement, Su2Coordinates
 from orbitscope.states import MultiIndex
+from orbitscope.z2 import Z2Matrix
+
+
+def multi_index_from_int(idx: int, n: int) -> MultiIndex:
+    if not 0 <= idx < (1 << n):
+        raise ValueError(f"index {idx} out of range for n={n}")
+    return MultiIndex(tuple((idx >> (n - k)) & 1 for k in range(1, n + 1)))
+
+
+def bit_rows(matrix: Z2Matrix) -> list[tuple[int, ...]]:
+    return [
+        tuple((r >> j) & 1 for j in range(matrix.ncols)) for r in matrix.rows
+    ]
 
 
 def multi_index_complement(index: MultiIndex, k: int) -> MultiIndex:

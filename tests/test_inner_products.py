@@ -43,7 +43,7 @@ from orbitscope.states import (
     sample_haar_state,
 )
 
-from paper_oracles import multi_index_complement
+from paper_oracles import multi_index_complement, multi_index_from_int
 
 
 def lu_rotated_singlets(k, seed):
@@ -144,7 +144,7 @@ class TestTableAgainstDirect:
 def slot_signs_and_flips(n, k):
     """(-1)^{i_k} as int8 and the flip I -> I_k as indices over all 2^n
     indices, read off each multi-index's bits and its complement in bit k."""
-    indices = [MultiIndex.from_int(i, n) for i in range(1 << n)]
+    indices = [multi_index_from_int(i, n) for i in range(1 << n)]
     signs = np.array([1 - 2 * index.bits[k - 1] for index in indices], dtype=np.int8)
     flip = np.array([multi_index_complement(index, k).to_int() for index in indices])
     return signs, flip
@@ -516,67 +516,103 @@ def scenario_reports():
     return [(psi, orthogonality_report(psi, scenario, **params)) for psi, scenario, params in scenario_cases()]
 
 
+def entries(report):
+    """(i, j, row, col) for every entry of the block, row-major."""
+    return [(i, j, row, col) for i, row in enumerate(report.rows) for j, col in enumerate(report.cols)]
+
+
 class TestReportValues:
     def test_values_match_per_pair_vdot(self):
         for psi, report in scenario_reports():
             tol = 1e-12 * psi.norm() ** 2
-            assert report.checks
-            for check in report.checks:
-                left, right = check.pair.split(".")
-                value = np.vdot(vdot_oracle(psi, left), vdot_oracle(psi, right))
-                assert abs(check.value_re - value.real) <= tol, (report.scenario, check.pair)
-                assert abs(check.value_im - value.imag) <= tol, (report.scenario, check.pair)
+            assert report.values.shape == (len(report.rows), len(report.cols)) and report.values.size
+            for i, j, row, col in entries(report):
+                value = np.vdot(vdot_oracle(psi, row), vdot_oracle(psi, col))
+                assert abs(report.values[i, j].real - value.real) <= tol, (report.scenario, row, col)
+                assert abs(report.values[i, j].imag - value.imag) <= tol, (report.scenario, row, col)
 
     def test_passed_is_a_python_bool(self):
         for _, report in scenario_reports():
-            assert report.all_pass
-            assert all(type(check.passed) is bool for check in report.checks)
+            assert report.all_pass is True
+            assert report.values.dtype == complex and not report.values.flags.writeable
+            fields = dataclasses.asdict(report)
+            assert list(fields) == [
+                "scenario", "hypothesis_residual", "rows", "cols", "values", "tolerance", "parity_slots",
+            ]
+            assert np.array_equal(fields["values"], report.values)
+
+    def test_a_nan_entry_fails_all_pass(self):
+        for _, report in scenario_reports():
+            for i, j, row, col in entries(report):
+                if row == col:
+                    continue
+                values = report.values.copy()
+                values[i, j] = complex(np.nan, 0.0)
+                assert not dataclasses.replace(report, values=values).all_pass, (report.scenario, row, col)
 
 
-def per_pair_checks(psi, pairs, tol_abs):
-    """The checks as one loop over the pairs once read them, one Gram entry
-    and one OrthogonalityCheck at a time."""
-    slots = sorted({label[1] for pair in pairs for label in pair if label != "minus_i_psi"})
-    index = {(op, k): 3 * i + j for i, k in enumerate(slots) for j, op in enumerate("ABC")}
-    index["minus_i_psi"] = 3 * len(slots)
+def label_name(label):
+    """A label's column name in a report: "-i|psi>" or op + slot."""
+    return "-i|psi>" if label == "minus_i_psi" else f"{label[0]}{label[1]}"
+
+
+def whole_gram(psi, names):
+    """Every entry of the whole complex Gram matrix of the triples of each
+    slot the names mention, ascending, then -i|psi>, keyed by name pair."""
+    slots = sorted({int(name[1:]) for name in names if name != "-i|psi>"})
+    labels = [f"{op}{k}" for k in slots for op in "ABC"] + ["-i|psi>"]
     cols = np.concatenate([triple_columns(psi, k) for k in slots] + [-1j * psi.amps[None]])
     gram = cols.conj() @ cols.T
-    checks = []
-    for left, right in pairs:
-        value = gram[index[left], index[right]]
-        checks.append(
-            inner_products.OrthogonalityCheck(
-                pair=f"{inner_products._label_name(left)}.{inner_products._label_name(right)}",
-                value_re=float(value.real),
-                value_im=float(value.imag),
-                passed=bool(abs(value.real) <= tol_abs),
-            )
-        )
-    return tuple(checks)
+    return {(a, b): gram[i, j] for i, a in enumerate(labels) for j, b in enumerate(labels)}
 
 
 class TestRunChecksAgainstPerPairLoop:
-    def test_reports_equal_the_loop(self, monkeypatch):
-        cases = scenario_cases()
-        fresh = [orthogonality_report(psi, scenario, **params) for psi, scenario, params in cases]
-        monkeypatch.setattr(inner_products, "_run_checks", per_pair_checks)
-        for (psi, scenario, params), report in zip(cases, fresh):
-            expected = orthogonality_report(psi, scenario, **params)
-            assert report == expected and report.checks == expected.checks
-            for check, other in zip(report.checks, expected.checks):
-                assert (type(check.value_re), type(check.value_im), type(check.passed)) == (float, float, bool)
+    def test_reports_equal_the_loop(self):
+        for psi, report in scenario_reports():
+            gram = whole_gram(psi, report.rows + report.cols)
+            for i, j, row, col in entries(report):
                 # the same floats bit for bit, signed zeros included
-                assert repr((check.value_re, check.value_im)) == repr((other.value_re, other.value_im))
+                assert report.values[i, j].tobytes() == gram[row, col].tobytes(), (report.scenario, row, col)
+            tested = [gram[row, col] for _, _, row, col in entries(report) if row != col]
+            assert report.all_pass == all(abs(value.real) <= report.tolerance for value in tested)
+
+    def test_a_block_of_the_triple_alone_fails_the_bit_test(self):
+        # without the -i|psi> column the product is 2 x 3, not 2 x 4, and
+        # sums its entries in another order: the bit test above tells
+        psi = sample_haar_state(1, 1)
+        report = orthogonality_report(psi, "triple", k=1)
+        gram = whole_gram(psi, report.rows + report.cols)
+        triple = triple_columns(psi, 1)
+        alone = (triple[:2].conj() @ triple.T)[:, 1:]
+        expected = [gram[row, col].tobytes() for _, _, row, col in entries(report)]
+        assert [report.values[i, j].tobytes() for i, j, _, _ in entries(report)] == expected
+        assert [alone[i, j].tobytes() for i, j, _, _ in entries(report)] != expected
 
     def test_tolerance_edge_and_empty_pairs(self):
-        psi = sample_haar_state(3, 29)
-        pairs = [(("A", 1), ("B", 2)), (("B", 2), "minus_i_psi"), (("C", 3), ("A", 1))]
-        for check in per_pair_checks(psi, pairs, 0.0):
-            # a tolerance exactly at |value_re| passes, one ulp below fails
-            tol = abs(check.value_re)
-            for t in (tol, np.nextafter(tol, 0)):
-                assert inner_products._run_checks(psi, pairs, t) == per_pair_checks(psi, pairs, t)
-        assert inner_products._run_checks(psi, [], 1.0) == ()
+        psi = sample_haar_state(4, 29)
+        # rows A1, B2, C3 against A4, B2 and -i|psi>, from the triples of all four slots
+        rows, cols = ("A1", "B2", "C3"), ("A4", "B2", "-i|psi>")
+        values = inner_products._run_checks(psi, [1, 2, 3, 4], [0, 4, 8], [9, 4, 12])
+        gram = whole_gram(psi, rows + cols)
+        block = dataclasses.replace(orthogonality_report(psi, "triple", k=1), rows=rows, cols=cols, values=values)
+        for i, j, row, col in entries(block):
+            assert values[i, j].tobytes() == gram[row, col].tobytes()
+            if row == col:
+                continue
+            # a tolerance exactly at |Re v| passes, one ulp below fails
+            tol = abs(values[i, j].real)
+            one = dataclasses.replace(block, rows=(row,), cols=(col,), values=values[i : i + 1, j : j + 1])
+            assert dataclasses.replace(one, tolerance=tol).all_pass
+            assert not dataclasses.replace(one, tolerance=np.nextafter(tol, 0)).all_pass
+        # the whole block passes at its largest tested |Re v|; the self-pair
+        # (B2, B2), ||B2 psi||^2, is larger and not tested
+        edge = max(abs(values[i, j].real) for i, j, row, col in entries(block) if row != col)
+        assert abs(values[1, 1].real) > edge
+        assert dataclasses.replace(block, tolerance=edge).all_pass
+        assert not dataclasses.replace(block, tolerance=np.nextafter(edge, 0)).all_pass
+        empty = inner_products._run_checks(psi, [1, 2, 3, 4], [], [9, 4, 12])
+        assert empty.shape == (0, 3)
+        assert dataclasses.replace(block, rows=(), values=empty, tolerance=0.0).all_pass
 
 
 def nested_loop_pairs(n, big_k, ops):
@@ -609,10 +645,14 @@ class TestScenarioPairs:
         main = orthogonality_report(dep, "main", slots=slots, xi=[1.0, 1.0])
         common = orthogonality_report(two, "two-common", l=slots[0], lp=slots[1])
         for state, report, ops in ((dep, main, "BC"), (two, common, "ABC")):
-            tol_abs = inner_products.CONCLUSION_RTOL * state.norm() ** 2
-            checks = inner_products._run_checks(state, nested_loop_pairs(2 * k, frozenset(slots), ops), tol_abs)
-            assert report.checks == checks
-            assert len(report.checks) == 2 * len(ops) * (1 + 3 * (2 * k - 2))
+            loop = nested_loop_pairs(2 * k, frozenset(slots), ops)
+            pairs = [(label_name(left), label_name(right)) for left, right in loop]
+            # row-major, the block is the nested loop's pairs, in its order
+            assert [(row, col) for _, _, row, col in entries(report)] == pairs
+            gram = whole_gram(state, report.rows + report.cols)
+            assert report.values.tobytes() == np.array([gram[pair] for pair in pairs]).tobytes()
+            assert report.values.size == 2 * len(ops) * (1 + 3 * (2 * k - 2))
+            assert report.tolerance == inner_products.CONCLUSION_RTOL * state.norm() ** 2
 
 
 class TestRealDot:
@@ -637,7 +677,19 @@ class TestTripleScenario:
                 report = orthogonality_report(psi, "triple", k=k)
                 assert report.all_pass
                 assert report.hypothesis_residual == 0.0
-                assert len(report.checks) == 3
+                assert (report.rows, report.cols) == ((f"A{k}", f"B{k}"), (f"B{k}", f"C{k}"))
+
+    def test_self_pair_is_never_tested(self):
+        psi = sample_haar_state(3, 17)
+        for k in range(1, 4):
+            report = orthogonality_report(psi, "triple", k=k)
+            # <B_k|B_k> = ||B_k psi||^2 = ||psi||^2, far above the tolerance
+            assert report.values[1, 0].real > 1e6 * report.tolerance and report.all_pass
+            for i, j in ((1, 0), (0, 0), (0, 1), (1, 1)):
+                values = report.values.copy()
+                values[i, j] = complex(np.nan, 0.0)
+                # only the self-pair (1, 0) is left out
+                assert dataclasses.replace(report, values=values).all_pass == ((i, j) == (1, 0))
 
 
 class TestMainScenario:
@@ -652,8 +704,9 @@ class TestMainScenario:
         psi = make_singlet_product(2)
         report = orthogonality_report(psi, "main", slots=[3, 4], xi=[1.0, 1.0])
         assert report.all_pass
-        # off-parity-set triples of the first singlet appear in the checks
-        assert any(".A1" in c.pair or "A1." in c.pair for c in report.checks)
+        # off-parity-set triples of the first singlet are columns of the block
+        assert report.rows == ("B3", "C3", "B4", "C4")
+        assert report.cols == ("-i|psi>", "A1", "B1", "C1", "A2", "B2", "C2")
 
     def test_rejects_false_hypothesis(self):
         psi = sample_haar_state(2, 3)

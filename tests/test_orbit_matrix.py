@@ -47,7 +47,7 @@ from orbitscope.states import (
     tensor,
 )
 
-from paper_oracles import multi_index_complement
+from paper_oracles import multi_index_complement, multi_index_from_int
 
 
 def exact_pairs(psi: PureState) -> tuple:
@@ -278,7 +278,7 @@ class TestBuildMatrix:
 def sign_flip_oracle(n, dtype):
     """(-1)^{i_k} and I -> I_k over all 2^n indices, one row per slot k,
     read off each multi-index's bits and its complement in bit k."""
-    indices = [MultiIndex.from_int(i, n) for i in range(1 << n)]
+    indices = [multi_index_from_int(i, n) for i in range(1 << n)]
     signs = [[1 - 2 * index.bits[k - 1] for index in indices] for k in range(1, n + 1)]
     flips = [[multi_index_complement(index, k).to_int() for index in indices] for k in range(1, n + 1)]
     return np.array(signs, dtype=np.int64 if dtype == object else dtype), np.array(flips)

@@ -25,8 +25,6 @@ PUBLIC_NAMES = {
     # lu_adjust
     "SO3Rotation", "adjust_dependency", "adjust_two_common", "so3_from_frame", "su2_lift",
     "triple_span_dim",
-    # the submodules, which importing them binds in the package namespace
-    "inner_products", "lie_action", "lu_adjust", "orbit_matrix", "states", "z2",
 }
 
 

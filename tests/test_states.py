@@ -23,7 +23,7 @@ from orbitscope.states import (
     tensor,
 )
 
-from paper_oracles import multi_index_complement, multi_index_double_complement
+from paper_oracles import multi_index_complement, multi_index_double_complement, multi_index_from_int
 
 def exact_pairs(psi):
     """The amplitudes of an exact state as (Fraction, Fraction) pairs."""
@@ -83,7 +83,7 @@ class TestMultiIndex:
     def test_storage_index_roundtrip(self):
         for n in range(1, 13):
             for idx in range(1 << n):
-                index = MultiIndex.from_int(idx, n)
+                index = multi_index_from_int(idx, n)
                 assert index.to_int() == idx
                 assert sum(b << (n - k) for k, b in enumerate(index.bits, start=1)) == idx
 
